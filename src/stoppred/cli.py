@@ -12,8 +12,8 @@ Threshold specs: ``dynkin:lam``, ``gm:n`` (grid size from --m),
 ``single:n``, ``file:PATH`` (CSV as written by the thresholds command);
 ``--robustify beta`` wraps any of them.
 
-Exit codes: 0 ok, 2 bad arguments, 3 numerical failure, 4 verification
-failure.
+Exit codes: 0 ok, 2 bad arguments (including values the library rejects
+with ValueError), 3 numerical failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -352,7 +352,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
+        # the library raises ValueError for arguments outside its domain
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, hardness.LpError) as exc:

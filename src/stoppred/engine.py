@@ -9,44 +9,27 @@ carve-out matters only when the predicted support lies above the realized
 values, pinning the cdf to exactly 0; full-support priors never tie the
 threshold.
 
-The scan over a batch of trials is the hot loop; it runs through the
-compiled kernel when available and through the vectorized numpy fallback
-otherwise.  Both consume identical pre-generated batches, so a given seed
-yields identical reports on either backend.
+Every estimator applies that rule through one vectorized numpy scan,
+``scan_first_accept``, over batches of time-ordered rows; ``run_bicriteria``
+keeps the literal per-value loop as the reference the scan is tested
+against.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .priors import power_root_cdf
 
-if os.environ.get("STOPPRED_PURE_PYTHON"):
-    from . import _kernels_py as _kernels
-
-    KERNEL_BACKEND = "python"
-else:
-    try:
-        from . import _kernels
-
-        KERNEL_BACKEND = "cython"
-    except ImportError:
-        from . import _kernels_py as _kernels
-
-        KERNEL_BACKEND = "python"
-
-scan_first_accept = _kernels.scan_first_accept
-
 _BATCH = 4096  # fixed so that a seed pins the whole random stream
 
 __all__ = [
     "Instance",
     "SimReport",
-    "KERNEL_BACKEND",
+    "scan_first_accept",
     "run_bicriteria",
     "run_sharding",
     "attach_uniform_times",
@@ -110,6 +93,33 @@ def run_bicriteria(inst, predicted, theta):
     return None
 
 
+def scan_first_accept(values, qvals, thresh):
+    """First accepted position per row of a time-ordered batch.
+
+    Position j of row i is accepted when values[i, j] is greater than or
+    equal to every earlier value in the row (running-max criterion) and its
+    level clears the threshold: qvals[i, j] > thresh[i, j], or the threshold
+    is 0 (the zero phase is prior-free; under a full-support prior the two
+    readings coincide, but a mispredicted support can pin qvals to exactly
+    0).  Returns (pos, accepted_value) with pos = -1 and value 0.0 for rows
+    that accept nothing.
+    """
+    # a value is at least its running maximum through itself exactly when it
+    # is at least every earlier value; the scan starts from a maximum of 0
+    running = np.maximum.accumulate(values, axis=1)
+    ok = (values >= np.maximum(running, 0.0, out=running)) & ((qvals > thresh) | (thresh == 0.0))
+    hit = ok.any(axis=1)
+    pos = np.where(hit, ok.argmax(axis=1), -1).astype(np.int64)
+    picked = np.take_along_axis(values, np.maximum(pos, 0)[:, None], axis=1)[:, 0]
+    acc = np.where(hit, picked, 0.0)
+    return pos, acc
+
+
+def _scan(values, times, predicted, theta):
+    """Run the acceptance rule on rows of values sorted by arrival time."""
+    return scan_first_accept(values, predicted.cdf(values), theta.eval(times))
+
+
 def run_sharding(values, k, predicted, theta, rng):
     """One pass of the implicit-sharding algorithm over values in arrival order.
 
@@ -126,15 +136,8 @@ def run_sharding(values, k, predicted, theta, rng):
     shard_prior = power_root_cdf(predicted, k)
     t_sorted = np.sort(rng.random(n * k))
     s = t_sorted[np.arange(n) * k + rng.integers(0, k, size=n)]
-    prefix_max = 0.0
-    for i in range(n):
-        x = values[i]
-        if x >= prefix_max:
-            level = theta.eval(s[i])
-            if shard_prior.cdf(x) > level or level == 0.0:
-                return int(i)
-            prefix_max = x
-    return None
+    pos, _ = _scan(values[None, :], s[None, :], shard_prior, theta)
+    return None if pos[0] < 0 else int(pos[0])
 
 
 @dataclass(frozen=True)
@@ -156,30 +159,34 @@ class SimReport:
         )
 
 
-def _batches(total):
+def _batches(total, size=_BATCH):
     done = 0
     while done < total:
-        b = min(_BATCH, total - done)
+        b = min(size, total - done)
         yield b
         done += b
 
 
+def _check_sizes(n, trials):
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if trials < 1:
+        raise ValueError("need trials >= 1")
+
+
 def _scan_batch(rng, b, n, real, predicted, theta):
+    # values are i.i.d. and independent of the arrival order, so sorting the
+    # times alone puts every row in time order
     vals = real.quantile(rng.random((b, n)))
     times = rng.random((b, n))
-    order = np.argsort(times, axis=1)
-    tv = np.take_along_axis(times, order, axis=1)
-    xv = np.take_along_axis(vals, order, axis=1)
-    q = np.ascontiguousarray(predicted.cdf(xv))
-    th = np.ascontiguousarray(theta.eval(tv))
-    pos, acc = scan_first_accept(np.ascontiguousarray(xv), q, th)
-    return pos, acc, xv.max(axis=1)
+    times.sort(axis=1)
+    pos, acc = _scan(vals, times, predicted, theta)
+    return pos, acc, vals.max(axis=1)
 
 
 def accepted_value_samples(real, predicted, theta, n, trials, seed):
     """Per-trial (accepted value, maximum value); 0 marks no acceptance."""
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    _check_sizes(n, trials)
     if real.quantile(0.0) < 0.0:
         raise ValueError("real prior must be supported on [0, inf)")
     rng = np.random.default_rng(seed)
@@ -201,8 +208,7 @@ def simulate(real, predicted, theta, n, trials, seed):
     times; the threshold consults the (possibly different) predicted prior.
     Deterministic for a fixed seed.
     """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    _check_sizes(n, trials)
     if real.quantile(0.0) < 0.0:
         raise ValueError("real prior must be supported on [0, inf)")
     rng = np.random.default_rng(seed)
@@ -249,7 +255,6 @@ def googol_win_mc(values, predicted, theta, trials, seed):
     if len(np.unique(values)) != len(values):
         raise ValueError("values must be distinct")
     n = len(values)
-    q = np.asarray(predicted.cdf(values), dtype=float)
     vmax = values.max()
     rng = np.random.default_rng(seed)
     wins = 0
@@ -257,13 +262,26 @@ def googol_win_mc(values, predicted, theta, trials, seed):
         times = rng.random((b, n))
         order = np.argsort(times, axis=1)
         tv = np.take_along_axis(times, order, axis=1)
-        xv = np.ascontiguousarray(values[order])
-        qv = np.ascontiguousarray(q[order])
-        th = np.ascontiguousarray(theta.eval(tv))
-        pos, acc = scan_first_accept(xv, qv, th)
+        pos, acc = _scan(values[order], tv, predicted, theta)
         wins += int(np.count_nonzero((pos >= 0) & (acc == vmax)))
     p = wins / trials
     return p, math.sqrt(p * (1.0 - p) / trials)
+
+
+def _coupled_passes(shard_vals, t_sorted, k, shard_pred, theta):
+    """Accepted values of the sharding pass and of the base scan, per row.
+
+    Rows hold n*k shard values with their sorted arrival times.  The sharding
+    pass sees the n block maxima at their argmax times; the base scan sees
+    every shard value (already in time order).
+    """
+    blocks = shard_vals.reshape(len(shard_vals), -1, k)
+    arg = blocks.argmax(axis=2)[:, :, None]
+    x = np.take_along_axis(blocks, arg, axis=2)[:, :, 0]
+    s = np.take_along_axis(t_sorted.reshape(blocks.shape), arg, axis=2)[:, :, 0]
+    _, accepted_sharding = _scan(x, s, shard_pred, theta)
+    _, accepted_base = _scan(shard_vals, t_sorted, shard_pred, theta)
+    return accepted_sharding, accepted_base
 
 
 def simulate_coupled_sharding(real, predicted, theta, n, k, trials, seed):
@@ -279,41 +297,16 @@ def simulate_coupled_sharding(real, predicted, theta, n, k, trials, seed):
     k = int(k)
     if k < 1:
         raise ValueError("need k >= 1")
+    _check_sizes(n, trials)
     rng = np.random.default_rng(seed)
     shard_real = power_root_cdf(real, k)
     shard_pred = power_root_cdf(predicted, k)
     violations = 0
-    for _ in range(trials):
-        shard_vals = np.asarray(shard_real.quantile(rng.random(n * k)))
-        t_sorted = np.sort(rng.random(n * k))
-        blocks = shard_vals.reshape(n, k)
-        arg = blocks.argmax(axis=1)
-        x = blocks[np.arange(n), arg]
-        s = t_sorted.reshape(n, k)[np.arange(n), arg]
-
-        # sharding pass on the coupled n-instance
-        accepted_sharding = 0.0
-        prefix = 0.0
-        for i in range(n):
-            if x[i] >= prefix:
-                level = theta.eval(s[i])
-                if shard_pred.cdf(x[i]) > level or level == 0.0:
-                    accepted_sharding = x[i]
-                    break
-                prefix = x[i]
-
-        # base scan on the n*k shard instance (values are in time order)
-        accepted_base = 0.0
-        prefix = 0.0
-        for j in range(n * k):
-            v = shard_vals[j]
-            if v >= prefix:
-                level = theta.eval(t_sorted[j])
-                if shard_pred.cdf(v) > level or level == 0.0:
-                    accepted_base = v
-                    break
-                prefix = v
-
-        if accepted_sharding < accepted_base:
-            violations += 1
+    # a batch of n*k-value rows holds as many values as a plain batch
+    for b in _batches(trials, max(1, _BATCH // k)):
+        shard_vals = shard_real.quantile(rng.random((b, n * k)))
+        t_sorted = rng.random((b, n * k))
+        t_sorted.sort(axis=1)
+        sharding, base = _coupled_passes(shard_vals, t_sorted, k, shard_pred, theta)
+        violations += int(np.count_nonzero(sharding < base))
     return violations

@@ -129,3 +129,24 @@ def test_prior_spec_parsing(tmp_path):
     assert cli.parse_prior(f"pmf:{pmf_file}").support_size == 3
     with pytest.raises(cli.CliError):
         cli.parse_prior("uniform:1")
+
+
+SIM = ["simulate", "--real", "uniform:0,1", "--predicted", "uniform:0,1", "--threshold", "dynkin:0.3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        SIM + ["--n", "5", "--trials", "0"],
+        SIM + ["--n", "0"],
+        ["maxprob-curve", "--beta", "0.5"],
+        ["thresholds", "--threshold", "gm:5", "--robustify", "0.9"],
+        ["hardness-frontier", "--n", "3", "--k-support", "8", "--lambda-grid", "0:2:0.5"],
+    ],
+)
+def test_library_domain_errors_are_usage_errors(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stoppred import engine
 from stoppred.engine import (
@@ -13,7 +15,7 @@ from stoppred.engine import (
     simulate,
     simulate_coupled_sharding,
 )
-from stoppred.priors import E_INV, Uniform, lambda_pair, neg_lambda_log
+from stoppred.priors import E_INV, Uniform, lambda_pair, neg_lambda_log, power_root_cdf
 from stoppred.thresholds import ThresholdFn, dynkin_threshold, gm_threshold, robustify
 
 from conftest import random_step_threshold
@@ -186,3 +188,91 @@ def test_attach_uniform_times_sorted():
     inst = attach_uniform_times(np.array([3.0, 1.0, 2.0]), rng)
     assert np.all(np.diff(inst.arrival_times) > 0)
     assert inst.values.tolist() == [3.0, 1.0, 2.0]
+
+
+# Generated inputs for the scan: a few value levels (ties, zeros) mixed with
+# arbitrary floats, thresholds whose levels include 0 (accept any
+# best-so-far value) and 1 (accept nothing), and predicted priors whose
+# support misses the values (cdf pinned at 0 or 1).
+LEVELS = [0.0, 0.25, 0.5, 0.75, 1.0]
+PREDICTED = [UNIT, Uniform(0.5, 1.5), Uniform(2.0, 3.0), Uniform(-1.0, 0.5)]
+
+
+@st.composite
+def step_thresholds(draw):
+    pieces = draw(st.integers(1, 4))
+    inner = draw(st.lists(st.floats(0.05, 0.95), min_size=pieces - 1, max_size=pieces - 1, unique=True))
+    levels = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]), min_size=pieces, max_size=pieces))
+    return ThresholdFn(sorted(inner) + [1.0], sorted(levels, reverse=True))
+
+
+@st.composite
+def timed_rows(draw, length):
+    """Rows of non-negative values with strictly increasing arrival times."""
+    rows = draw(st.integers(1, 5))
+    value = st.one_of(st.sampled_from(LEVELS), st.floats(0.0, 1.0))
+    values = [draw(st.lists(value, min_size=length, max_size=length)) for _ in range(rows)]
+    times = [
+        sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=length, max_size=length, unique=True)))
+        for _ in range(rows)
+    ]
+    return np.array(values), np.array(times)
+
+
+def _literal_accepted(values, times, predicted, theta):
+    idx = run_bicriteria(Instance(values, times), predicted, theta)
+    return (-1, 0.0) if idx is None else (idx, values[idx])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(timed_rows), st.sampled_from(PREDICTED), step_thresholds())
+def test_scan_matches_literal_loop(rows, predicted, theta):
+    values, times = rows
+    pos, acc = engine.scan_first_accept(values, np.asarray(predicted.cdf(values)), theta.eval(times))
+    for i in range(len(values)):
+        assert (pos[i], acc[i]) == _literal_accepted(values[i], times[i], predicted, theta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, 4).flatmap(lambda n: timed_rows(n * k)))),
+    st.sampled_from(PREDICTED),
+    step_thresholds(),
+)
+def test_coupled_passes_match_literal_loops(case, predicted, theta):
+    k, (shard_vals, t_sorted) = case
+    shard_pred = power_root_cdf(predicted, k)
+    sharding, base = engine._coupled_passes(shard_vals, t_sorted, k, shard_pred, theta)
+    for i in range(len(shard_vals)):
+        x, s = [], []
+        for j in range(0, shard_vals.shape[1], k):
+            a = j + int(np.argmax(shard_vals[i, j : j + k]))
+            x.append(shard_vals[i, a])
+            s.append(t_sorted[i, a])
+        assert sharding[i] == _literal_accepted(np.array(x), np.array(s), shard_pred, theta)[1]
+        assert base[i] == _literal_accepted(shard_vals[i], t_sorted[i], shard_pred, theta)[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1), step_thresholds())
+def test_run_sharding_matches_literal_loop(n, k, seed, theta):
+    values = np.random.default_rng(seed).random(n)
+    got = run_sharding(values, k, UNIT, theta, np.random.default_rng(seed + 1))
+    rng = np.random.default_rng(seed + 1)
+    t_sorted = np.sort(rng.random(n * k))
+    s = t_sorted[np.arange(n) * k + rng.integers(0, k, size=n)]
+    assert got == run_bicriteria(Instance(values, s), power_root_cdf(UNIT, k), theta)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: simulate(UNIT, UNIT, ONES, 0, 10, 1),
+        lambda: engine.accepted_value_samples(UNIT, UNIT, ONES, 0, 10, 1),
+        lambda: simulate_coupled_sharding(UNIT, UNIT, ONES, 0, 2, 10, 1),
+        lambda: simulate_coupled_sharding(UNIT, UNIT, ONES, 5, 2, 0, 1),
+    ],
+)
+def test_engine_rejects_empty_sizes(call):
+    with pytest.raises(ValueError):
+        call()

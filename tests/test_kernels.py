@@ -1,52 +1,26 @@
-"""Parity between the compiled scan kernel and the numpy fallback."""
+"""Semantics of the engine's batched scan on hand-built rows."""
 
 import numpy as np
-import pytest
 
-from stoppred import _kernels_py
-
-try:
-    from stoppred import _kernels
-except ImportError:
-    _kernels = None
-
-
-def _random_batch(rng, rows, n):
-    values = rng.random((rows, n))
-    # inject ties and zeros to exercise the >= comparisons
-    values[rng.random((rows, n)) < 0.05] = 0.0
-    ties = rng.random(rows) < 0.3
-    values[ties, -1] = values[ties, 0]
-    qvals = rng.random((rows, n))
-    thresh = rng.random((rows, n))
-    return (np.ascontiguousarray(values), np.ascontiguousarray(qvals), np.ascontiguousarray(thresh))
-
-
-@pytest.mark.skipif(_kernels is None, reason="compiled kernel not built")
-def test_backends_agree_bitwise():
-    rng = np.random.default_rng(0)
-    for rows, n in [(1, 1), (7, 3), (200, 25), (64, 1)]:
-        batch = _random_batch(rng, rows, n)
-        pos_c, acc_c = _kernels.scan_first_accept(*batch)
-        pos_p, acc_p = _kernels_py.scan_first_accept(*batch)
-        assert np.array_equal(pos_c, pos_p)
-        assert np.array_equal(acc_c, acc_p)
+from stoppred.engine import scan_first_accept
 
 
 def test_python_kernel_semantics():
-    values = np.array([[0.5, 0.4, 0.9], [0.5, 0.4, 0.3]])
-    qvals = np.array([[0.1, 0.9, 0.9], [0.1, 0.9, 0.9]])
-    thresh = np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]])
-    pos, acc = _kernels_py.scan_first_accept(values, qvals, thresh)
+    values = np.array([[0.5, 0.4, 0.9], [0.5, 0.4, 0.3], [-0.5, 0.2, 0.1]])
+    qvals = np.array([[0.1, 0.9, 0.9], [0.1, 0.9, 0.9], [0.9, 0.9, 0.9]])
+    thresh = np.full((3, 3), 0.5)
+    pos, acc = scan_first_accept(values, qvals, thresh)
     # row 0: first value fails the quantile test, second is not best-so-far,
-    # third passes both; row 1: nothing passes
-    assert pos.tolist() == [2, -1]
-    assert acc.tolist() == [0.9, 0.0]
+    # third passes both; row 1: nothing passes; row 2: the scan starts from
+    # a maximum of 0, so a negative value is never best-so-far
+    assert pos.tolist() == [2, -1, 1]
+    assert acc.tolist() == [0.9, 0.0, 0.2]
 
 
 def test_tie_counts_as_best_so_far():
     values = np.array([[0.5, 0.5]])
     qvals = np.array([[0.0, 1.0]])
     thresh = np.array([[0.5, 0.5]])
-    pos, acc = _kernels_py.scan_first_accept(values, qvals, thresh)
+    pos, acc = scan_first_accept(values, qvals, thresh)
     assert pos.tolist() == [1]
+

@@ -68,11 +68,11 @@ def test_alpha_search_monotone_bracket(maxexp_solution_001):
     assert not solve_steps(alpha + 2e-4, 0.01, 300).feasible
 
 
-def test_grid_refinement_stability():
+def test_grid_refinement_stability(maxexp_solution_001):
     # measured drift between m = 150 and m = 300 is 0.0031: the endpoint
     # scheme certifies slightly more on finer grids (first order in 1/m)
     a150, _ = max_alpha_for_beta(0.01, 150, 1e-4)
-    a300, _ = max_alpha_for_beta(0.01, 300, 1e-4)
+    a300, _ = maxexp_solution_001
     assert abs(a150 - a300) <= 0.004
 
 
