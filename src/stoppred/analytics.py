@@ -4,8 +4,9 @@ Everything here is a pure function of a threshold function (a step map) and
 a handful of scalars.  Step thresholds make every integral over the time of
 the prefix maximum an exact finite sum; only integrals over the arrival time
 of the accepted value need numerical quadrature.  The recurring integral
-``int v**t / t dt`` is computed after the substitution t = exp(w), which
-removes the 1/t factor (see quadrature.log_time_integral).
+``int v**t / t dt`` is an exponential integral and is evaluated in closed
+form (see quadrature.log_time_integral), as is the inner integral of
+maxprob_alpha.
 
 These evaluators serve double duty: they generate the trade-off curves, and
 they act as oracles against the Monte Carlo engine (and vice versa).
@@ -17,6 +18,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import exp1
 
 from .priors import E_INV, lambda_pair
 from .quadrature import (
@@ -73,10 +75,10 @@ def maxprob_alpha(beta, spec=DEFAULT_SPEC):
     alpha(beta) = beta + int_{lambda1}^{lambda2} int_s^1 exp(-c t/(1-s)) / t dt ds
 
     with (lambda1, lambda2) the roots for beta and c the series constant.
-    The inner integral runs through the t = exp(w) substitution; the outer
-    integrand has a logarithmic singularity at s = 0 (reached only at
-    beta = 0), so the lower limit is clipped to 1e-12, which perturbs the
-    result by under 1e-10.
+    The inner integral is E1(kappa s) - E1(kappa) with kappa = c/(1-s)
+    (Abramowitz & Stegun 5.1.1); the outer integrand has a logarithmic
+    singularity at s = 0 (reached only at beta = 0), so the lower limit is
+    clipped to 1e-12, which perturbs the result by under 1e-10.
     """
     beta = float(beta)
     if beta < 0.0 or beta > E_INV + 1e-15:
@@ -89,13 +91,12 @@ def maxprob_alpha(beta, spec=DEFAULT_SPEC):
     if lam2 - lam1 <= 1e-15:
         return beta
     c = solve_constant_c()
-    inner_spec = QuadratureSpec(tol=spec.tol * 1e-2, max_depth=spec.max_depth)
 
     def inner(s):
         if s >= 1.0 - 1e-15:
             return 0.0
         kappa = c / (1.0 - s)
-        return gauss_refine(lambda w: np.exp(-kappa * np.exp(w)), math.log(s), 0.0, inner_spec)
+        return float(exp1(kappa * s) - exp1(kappa))
 
     lo = max(lam1, 1e-12)
     return float(beta) + adaptive_simpson(inner, lo, lam2, spec)
@@ -292,7 +293,7 @@ def consistency_density(theta, q, spec=DEFAULT_SPEC):
     return total
 
 
-def consistency_integral(theta, z, spec=DEFAULT_SPEC):
+def consistency_integral(theta, z):
     """L(z) = int_z^1 int_0^t (1/t) theta(max{s, z})^t ds dt for a step theta.
 
     Exchanging the integration order gives
@@ -310,23 +311,22 @@ def consistency_integral(theta, z, spec=DEFAULT_SPEC):
     if z < 1.0:
         v0 = theta.eval(z)
         if z > 0.0 and v0 > 0.0:
-            total += z * log_time_integral(v0, z, 1.0, spec)
+            total += z * log_time_integral(v0, z, 1.0)
         for a, b, v in theta.pieces():
             lo = max(a, z)
             if lo >= b or v == 0.0:
                 continue
-            total += pow_integral(v, lo, b) - lo * log_time_integral(v, lo, b, spec)
+            total += pow_integral(v, lo, b) - lo * log_time_integral(v, lo, b)
             if b < 1.0:
-                total += (b - lo) * log_time_integral(v, b, 1.0, spec)
+                total += (b - lo) * log_time_integral(v, b, 1.0)
     return total
 
 
 class _LTable:
-    """Per-piece caches so that L(z) costs two quadratures per query."""
+    """Per-piece caches so that L(z) costs two closed-form integrals per query."""
 
-    def __init__(self, theta, spec=DEFAULT_SPEC):
+    def __init__(self, theta):
         self.theta = theta
-        self.spec = spec
         self.breaks = theta.breakpoints
         self.vals = theta.values
         tails = []  # A_i + len_i * B_i per piece, and B_i itself
@@ -336,10 +336,10 @@ class _LTable:
                 tails.append(0.0)
                 self.b_tail.append(0.0)
                 continue
-            b_i = log_time_integral(v, b, 1.0, spec) if b < 1.0 else 0.0
+            b_i = log_time_integral(v, b, 1.0) if b < 1.0 else 0.0
             a_i = pow_integral(v, a, b)
             if a > 0.0:
-                a_i -= a * log_time_integral(v, a, b, spec)
+                a_i -= a * log_time_integral(v, a, b)
             tails.append(a_i + (b - a) * b_i)
             self.b_tail.append(b_i)
         suffix = np.concatenate([np.cumsum(tails[::-1])[::-1], [0.0]])
@@ -353,18 +353,18 @@ class _LTable:
         v_z = self.vals[p]
         total = self.suffix[p + 1]
         if z > 0.0 and v_z > 0.0:
-            total += z * log_time_integral(v_z, z, 1.0, self.spec)
+            total += z * log_time_integral(v_z, z, 1.0)
         b_p = self.breaks[p]
         v_p = self.vals[p]
         if z < b_p and v_p > 0.0:
             part = pow_integral(v_p, z, b_p)
             if z > 0.0:
-                part -= z * log_time_integral(v_p, z, b_p, self.spec)
+                part -= z * log_time_integral(v_p, z, b_p)
             total += part + (b_p - z) * self.b_tail[p]
         return total
 
 
-def check_consistency_conditions(theta, alpha, pair, grid=1000, spec=DEFAULT_SPEC):
+def check_consistency_conditions(theta, alpha, pair, grid=1000):
     """Worst slack of the consistency conditions over a z-grid.
 
     Returns min over z in [lambda1, lambda2] of L(z) - alpha * theta(z),
@@ -372,7 +372,7 @@ def check_consistency_conditions(theta, alpha, pair, grid=1000, spec=DEFAULT_SPE
     verifies the sufficient conditions at level alpha for the robustified
     threshold.
     """
-    table = _LTable(theta, spec)
+    table = _LTable(theta)
     zs = np.linspace(pair.lambda1, pair.lambda2, grid)
     worst = math.inf
     for z in zs:

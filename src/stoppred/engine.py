@@ -255,6 +255,7 @@ def googol_win_mc(values, predicted, theta, trials, seed):
     if len(np.unique(values)) != len(values):
         raise ValueError("values must be distinct")
     n = len(values)
+    _check_sizes(n, trials)
     vmax = values.max()
     rng = np.random.default_rng(seed)
     wins = 0

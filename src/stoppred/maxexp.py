@@ -10,10 +10,12 @@ every grid endpoint, where
                          + (z_{j+1} - z_j) int_{z_{j+1}}^1 theta_j^t / t dt ].
 
 The recursion solves each theta_i from the equality form, starting at
-z = lambda2 and caching the accumulated tail sum, so one pass costs O(m)
-quadratures.  A sequence with theta_1 >= 1, clamped to min(theta_i, 1),
-yields a valid robust threshold; the outer search bisects on alpha for the
-feasibility boundary theta_1 = 1.
+z = lambda2 and caching the accumulated tail sum.  Every integral above is
+a closed form (quadrature.pow_integral and the exponential-integral
+quadrature.log_time_integral), and each theta_i is one bracketed Brent
+root, so one pass costs O(m) root solves.  A sequence with theta_1 >= 1,
+clamped to min(theta_i, 1), yields a valid robust threshold; the outer
+search bisects on alpha for the feasibility boundary theta_1 = 1.
 """
 
 from __future__ import annotations
@@ -21,14 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .priors import E_INV, LambdaPair, lambda_pair
-from .quadrature import QuadratureSpec, log_time_integral, pow_integral
+from .quadrature import log_time_integral, pow_integral
 from .thresholds import ThresholdFn, dynkin_threshold, robustify
 
 __all__ = ["StepSolution", "solve_steps", "max_alpha_for_beta", "tradeoff_curve_maxexp", "CurvePoint"]
-
-_SOLVER_SPEC = QuadratureSpec(tol=1e-11, max_depth=40)
 
 
 @dataclass(frozen=True)
@@ -67,20 +68,20 @@ class StepSolution:
 _LOG_FLOOR = -700.0  # exp of this is the smallest step value worth resolving
 
 
-def _piece_equation(z1, tail, alpha, spec):
+def _piece_equation(z1, tail, alpha):
     """Solve (z1/theta) int_{z1}^1 theta^t/t dt + tail/theta = alpha for theta.
 
-    The left side decreases from infinity to 0 as theta grows, so bisection
-    always lands on the unique root.  Near the right edge of the band the
-    root collapses like exp(-c/(1 - z1)) and quickly leaves the double
-    range, so the search runs in log space; roots below exp(-700) are
-    floored there, where their contribution to any integral is far below
-    double precision anyway.
+    The left side decreases from infinity to 0 as theta grows, so one Brent
+    solve inside a sign-changing bracket lands on the unique root.  Near
+    the right edge of the band the root collapses like exp(-c/(1 - z1)) and
+    quickly leaves the double range, so the bracketing and the solve run in
+    log space; roots below exp(-700) are floored there, where their
+    contribution to any integral is far below double precision anyway.
     """
 
     def lhs(log_theta):
         theta = np.exp(log_theta)
-        return (z1 * log_time_integral(theta, z1, 1.0, spec) + tail) / theta
+        return (z1 * log_time_integral(theta, z1, 1.0) + tail) / theta
 
     hi = np.log(2.0)
     while lhs(hi) > alpha:
@@ -98,16 +99,11 @@ def _piece_equation(z1, tail, alpha, spec):
                 return float(np.exp(_LOG_FLOOR))
             lo = _LOG_FLOOR
             break
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return float(np.exp(0.5 * (lo + hi)))
+    log_theta = brentq(lambda x: lhs(x) - alpha, lo, hi, xtol=1e-15, rtol=1e-15)
+    return float(np.exp(log_theta))
 
 
-def solve_steps(alpha, beta, m, spec=_SOLVER_SPEC):
+def solve_steps(alpha, beta, m):
     """Run the backward recursion for given (alpha, beta) on an m-step grid.
 
     beta = 1/e degenerates to an empty middle band (the wait-until-1/e
@@ -136,14 +132,14 @@ def solve_steps(alpha, beta, m, spec=_SOLVER_SPEC):
     thetas = np.empty(m)
     tail = 0.0
     for i in range(m - 1, -1, -1):
-        theta = _piece_equation(z[i + 1], tail, alpha, spec)
+        theta = _piece_equation(z[i + 1], tail, alpha)
         thetas[i] = theta
         if i > 0:
             # bracketed tail term of piece (z_i, z_{i+1}] for the next steps
             tail += (
                 pow_integral(theta, z[i], z[i + 1])
-                - z[i] * log_time_integral(theta, z[i], z[i + 1], spec)
-                + (z[i + 1] - z[i]) * log_time_integral(theta, z[i + 1], 1.0, spec)
+                - z[i] * log_time_integral(theta, z[i], z[i + 1])
+                + (z[i + 1] - z[i]) * log_time_integral(theta, z[i + 1], 1.0)
             )
     if np.any(np.diff(thetas) > 1e-9):
         raise ArithmeticError("step values failed to come out non-increasing")
@@ -157,7 +153,7 @@ def solve_steps(alpha, beta, m, spec=_SOLVER_SPEC):
     )
 
 
-def max_alpha_for_beta(beta, m, tol=1e-4, spec=_SOLVER_SPEC):
+def max_alpha_for_beta(beta, m, tol=1e-4):
     """Largest consistency alpha whose recursion stays feasible at this beta.
 
     Bisection on alpha over the feasibility predicate theta_1(alpha) >= 1;
@@ -168,11 +164,11 @@ def max_alpha_for_beta(beta, m, tol=1e-4, spec=_SOLVER_SPEC):
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if abs(beta - E_INV) <= 1e-15:
-        return E_INV, solve_steps(E_INV, E_INV, m, spec)
+        return E_INV, solve_steps(E_INV, E_INV, m)
     seen = []
 
     def evaluate(a):
-        sol = solve_steps(a, beta, m, spec)
+        sol = solve_steps(a, beta, m)
         seen.append((a, float(sol.theta_values[0])))
         for a1, t1 in seen[:-1]:
             if (a - a1) * (seen[-1][1] - t1) > 0.0:

@@ -1,6 +1,7 @@
 """Numerical integration helpers.
 
-Two adaptive schemes with an absolute-tolerance contract:
+Two adaptive schemes with an absolute-tolerance contract, for the integrals
+that have no closed form here:
 
 * ``adaptive_simpson``: classic local bisection with Richardson error
   estimate, for scalar integrands; robust near integrable endpoint
@@ -8,6 +9,10 @@ Two adaptive schemes with an absolute-tolerance contract:
 * ``gauss_refine``: fixed-order Gauss-Legendre panels, doubling the panel
   count until two consecutive estimates agree; the integrand is called on
   node arrays, so this is the fast path for smooth integrands.
+
+Two integrals of v**t have closed forms and need neither: ``pow_integral``
+(int v**t dt) and ``log_time_integral`` (int v**t / t dt, an exponential
+integral).
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import exp1, expi
 
 __all__ = ["QuadratureSpec", "adaptive_simpson", "gauss_refine", "log_time_integral", "pow_integral"]
 
@@ -104,12 +110,15 @@ def gauss_refine(f, a, b, spec=DEFAULT_SPEC, order=16):
     return prev
 
 
-def log_time_integral(v, a, b, spec=DEFAULT_SPEC):
-    """integral_a^b v**t / t dt for 0 <= v, 0 < a < b.
+def log_time_integral(v, a, b):
+    """integral_a^b v**t / t dt for 0 <= v, 0 < a <= b, in closed form.
 
-    Substituting t = exp(w) removes the 1/t factor, leaving the smooth
-    integrand v**exp(w) on [ln a, ln b].  v = 0 integrates to 0 (0**t = 0
-    for t > 0) and v = 1 reduces to ln(b/a).
+    With x = t |ln v| the integral is an exponential integral (Abramowitz &
+    Stegun 5.1.1 and 5.1.2): E1(-a ln v) - E1(-b ln v) for 0 < v < 1 and
+    Ei(b ln v) - Ei(a ln v) for v > 1.  v = 0 integrates to 0 (0**t = 0 for
+    t > 0) and v = 1 reduces to ln(b/a).  The result is exact to rounding
+    while a |ln v| is a normal double, which a >= 1e-290 ensures for every
+    double v != 1.
     """
     if v < 0.0:
         raise ValueError("v must be non-negative")
@@ -122,7 +131,9 @@ def log_time_integral(v, a, b, spec=DEFAULT_SPEC):
     if v == 1.0:
         return float(np.log(b / a))
     logv = np.log(v)
-    return gauss_refine(lambda w: np.exp(np.exp(w) * logv), np.log(a), np.log(b), spec)
+    if logv < 0.0:
+        return float(exp1(-a * logv) - exp1(-b * logv))
+    return float(expi(b * logv) - expi(a * logv))
 
 
 def pow_integral(v, a, b):

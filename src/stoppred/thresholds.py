@@ -8,16 +8,19 @@ produces them as intermediate output; robustification clamps them.
 
 Besides the representation, this module constructs the classical thresholds
 (the 1/e rule, the constant single-threshold rule, and the full-information
-best-choice rule solved from its first-order condition) and the robustified
-variant that pins the function to 1 before lambda1 and 0 from lambda2 on.
+best-choice rule, whose first-order condition reduces to one polynomial root
+per n) and the robustified variant that pins the function to 1 before
+lambda1 and 0 from lambda2 on.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+from scipy.optimize import brentq
 
 from .priors import lambda_pair
-from .quadrature import QuadratureSpec, gauss_refine
 
 __all__ = [
     "ThresholdFn",
@@ -169,35 +172,47 @@ def robustify(theta, pair):
     return ThresholdFn(breaks, vals)
 
 
-def _gm_foc_residual(x, n, length, spec):
-    """integral_0^length (expm1((n-1) log1p(x u)) / u) du - 1.
+def _gm_series(c, n):
+    """sum_{k=1}^{n-1} C(n-1, k) (c/(n-1))**k / k by the ratio recurrence of the terms.
 
-    This is the first-order condition for the best-choice threshold after the
-    substitutions u = 1 - t and x = 1/theta - 1, whose integrand has the
-    removable limit (n-1) x at u = 0.
+    C(n-1, k) itself overflows past n of about 1030.  For c <= 1 the terms
+    never increase, so the sum stops once they fall below rounding.
     """
-    if length <= 0.0:
-        return -1.0
-    n1 = n - 1
-
-    def f(u):
-        out = np.empty_like(u)
-        small = u < 1e-14
-        out[small] = n1 * x
-        us = u[~small]
-        # exponent capped at 700 to dodge overflow while bracketing; the
-        # residual sign is all that matters in that regime
-        out[~small] = np.expm1(np.minimum(n1 * np.log1p(x * us), 700.0)) / us
-        return out
-
-    return gauss_refine(f, 0.0, length, spec) - 1.0
+    y = c / (n - 1)
+    total = 0.0
+    term = 1.0
+    for k in range(1, n):
+        term *= y * (n - k) / k
+        total += term / k
+        if term <= 1e-17 * total:
+            break
+    return total
 
 
-def gm_threshold_value(n, s, residual_tol=1e-10, spec=None):
+@lru_cache(maxsize=1024)
+def _gm_root(n):
+    """c_n = (n-1) y_n, with y_n the root of sum_{k=1}^{n-1} C(n-1, k) y**k / k = 1.
+
+    The series is at least (n-1) y, so c_n lies in (0, 1]; c_2 = 1, and c_n
+    tends to the series constant c of about 0.80435 as n grows.
+    """
+    return brentq(lambda c: _gm_series(c, n) - 1.0, 0.0, 1.0, xtol=1e-15, rtol=1e-15)
+
+
+def _gm_levels(n, s):
+    # the large-n form of gm_asymptotic, exact with c_n in place of c
+    return 1.0 / (1.0 + _gm_root(int(n)) / ((n - 1) * (1.0 - s)))
+
+
+def gm_threshold_value(n, s):
     """Best-choice threshold level at time s for n values.
 
-    Solved by bisection on (0, 1] of the first-order condition; the level at
-    s = 1 is 0 by the boundary condition.
+    With x = 1/theta - 1, the first-order condition
+    int_0^{1-s} ((1 + x u)**(n-1) - 1) / u du = 1 expands to
+    sum_{k=1}^{n-1} C(n-1, k) (x (1-s))**k / k = 1 (Gilbert & Mosteller
+    1966), so x (1-s) is the same root y_n at every s and the level is
+    1 / (1 + y_n / (1-s)), solved once per n.  The level at s = 1 is 0 by
+    the boundary condition.
     """
     if int(n) != n or n < 2:
         raise ValueError("need integer n >= 2")
@@ -206,33 +221,7 @@ def gm_threshold_value(n, s, residual_tol=1e-10, spec=None):
         raise ValueError("s must lie in [0, 1]")
     if s == 1.0:
         return 0.0
-    if spec is None:
-        spec = QuadratureSpec(tol=1e-12)
-    length = 1.0 - s
-
-    def residual(theta):
-        return _gm_foc_residual(1.0 / theta - 1.0, n, length, spec)
-
-    hi = 1.0
-    res_hi = residual(hi)  # equals -1 < 0 at theta = 1
-    lo = 0.5
-    res_lo = residual(lo)
-    while res_lo < 0.0:
-        hi, res_hi = lo, res_lo
-        lo *= 0.5
-        if lo < 1e-300:
-            raise ArithmeticError("failed to bracket the first-order condition")
-        res_lo = residual(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r = residual(mid)
-        if abs(r) <= residual_tol:
-            return mid
-        if r > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(_gm_levels(n, s))
 
 
 def gm_threshold(n, m):
@@ -246,8 +235,7 @@ def gm_threshold(n, m):
         raise ValueError("need integer n >= 2")
     if int(m) != m or m < 2:
         raise ValueError("need integer m >= 2")
-    grid = np.arange(m) / m
-    vals = [gm_threshold_value(n, s) for s in grid]
+    vals = _gm_levels(n, np.arange(m) / m)
     breaks = np.arange(1, m + 1) / m
     breaks[-1] = 1.0
     return ThresholdFn(breaks, vals)

@@ -83,7 +83,7 @@ def test_criterion_04_maxexp_golden_point_as_stated(maxexp_solution_001):
     # 1.0165 belongs to the fixed alpha 0.6908 (companion test)
     boundary_ok = 1.0 <= theta1 <= 1.0 + 1e-3
     # (c) one bisection step (tol) plus 1e-5 for the rounding of the stated
-    # value; the solver quadrature (1e-11 per integral) moves it by ~1e-9
+    # value; the solver's integrals are closed forms, exact to rounding
     value_ok = abs(alpha - ALPHA_MAX_001) <= tol + 1e-5
     # (d) simulated tail dominance of the returned rule at level alpha; the
     # rule's tail ratio is about 0.699, so alpha overstated by 0.006 sits

@@ -187,11 +187,17 @@ def test_consistency_integral_brute_force_spot():
 
     theta = robustify(gm_threshold(5, 12), lambda_pair(0.25))
     for z in (0.3, 0.5):
+        # both integrands are smooth between the threshold's breakpoints;
+        # z = 0.5 is itself one
+        kinks = theta.breakpoints[(theta.breakpoints >= z) & (theta.breakpoints < 1.0)]
+
         def inner(t):
-            val, _ = integrate.quad(lambda s: theta.eval(max(s, z)) ** t / t, 0.0, t, limit=100)
+            val, _ = integrate.quad(
+                lambda s: theta.eval(max(s, z)) ** t / t, 0.0, t, limit=100, points=kinks[kinks < t]
+            )
             return val
 
-        brute, _ = integrate.quad(inner, z, 1.0, limit=100)
+        brute, _ = integrate.quad(inner, z, 1.0, limit=100, points=kinks[kinks > z])
         assert consistency_integral(theta, z) == pytest.approx(brute, abs=1e-5)
 
 

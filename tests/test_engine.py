@@ -271,6 +271,7 @@ def test_run_sharding_matches_literal_loop(n, k, seed, theta):
         lambda: engine.accepted_value_samples(UNIT, UNIT, ONES, 0, 10, 1),
         lambda: simulate_coupled_sharding(UNIT, UNIT, ONES, 0, 2, 10, 1),
         lambda: simulate_coupled_sharding(UNIT, UNIT, ONES, 5, 2, 0, 1),
+        lambda: googol_win_mc([0.2, 0.7], UNIT, ONES, 0, 1),
     ],
 )
 def test_engine_rejects_empty_sizes(call):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stoppred.quadrature import (
     QuadratureSpec,
@@ -67,3 +69,24 @@ def test_log_time_integral_validates():
         log_time_integral(0.5, 0.0, 1.0)
     with pytest.raises(ValueError):
         log_time_integral(-0.5, 0.1, 1.0)
+
+
+# v over (0, 2] plus the two ends the maxexp solver reaches: step values
+# floored near exp(-700) and values within rounding of 1
+LTI_V = st.one_of(
+    st.floats(0.0, 2.0, exclude_min=True),
+    st.floats(690.0, 745.0).map(lambda u: math.exp(-u)),
+    st.floats(-1e-6, 1e-6).map(lambda d: 1.0 + d),
+)
+# a >= 1e-290 keeps a * |ln v| a normal double for every v != 1 above
+LTI_T = st.floats(1e-290, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LTI_V, LTI_T, LTI_T)
+def test_log_time_integral_closed_form_matches_quadrature(v, a, b):
+    a, b = min(a, b), max(a, b)
+    assume(a < b)
+    logv = math.log(v)
+    ref = gauss_refine(lambda w: np.exp(np.exp(w) * logv), math.log(a), math.log(b), QuadratureSpec(tol=1e-13))
+    assert abs(log_time_integral(v, a, b) - ref) <= 1e-11

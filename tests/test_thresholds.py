@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stoppred import thresholds
 from stoppred.analytics import solve_constant_c
 from stoppred.priors import E_INV, lambda_pair
 from stoppred.thresholds import (
@@ -135,6 +138,25 @@ def _foc_series(theta, n, s):
 def test_gm_value_satisfies_foc_series(n, s):
     theta = gm_threshold_value(n, s)
     assert abs(_foc_series(theta, n, s) - 1.0) <= 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10**4), st.floats(0.0, 1.0, exclude_max=True))
+def test_gm_value_satisfies_foc_series_everywhere(n, s):
+    theta = gm_threshold_value(n, s)
+    # at s = 0, x = 1/theta - 1 is about 0.8/(n-1), so rounding theta and
+    # 1/theta alone moves the residual by up to about 1.5 (n-1) eps: at
+    # n = 10^4 that is above 1e-12 for any double level
+    rounding = 2.0 * (n - 1) * np.finfo(float).eps
+    assert abs(_foc_series(theta, n, s) - 1.0) <= 1e-12 + rounding
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10**7))
+def test_gm_root_tends_to_series_constant(n):
+    # (n-1) y_n falls to the constant c of the large-n threshold at rate 1/n
+    gap = thresholds._gm_root(n) - solve_constant_c()
+    assert 0.0 < gap * (n - 1) <= 0.2
 
 
 def test_gm_value_boundary():
