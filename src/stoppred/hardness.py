@@ -25,8 +25,12 @@ the power of F that bounds it:
 so row lengths stay O(1) or O(n), every coefficient lies in [0, 1] (the
 unscaled rows carry factors down to F(1)^n, which sink below solver
 tolerances at full scale), and the robustness rows read beta <= b_l.
-Solving goes through scipy's HiGHS; export_lp writes the model in the
-standard LP text format for external solvers.
+Solving goes through the HiGHS binding bundled with scipy, set up as
+linprog(method="highs") sets it up.  A lambda sweep hands HiGHS the
+polytope once: only the alpha and beta costs depend on lambda, so each
+optimal basis stays primal feasible for the next lambda and the simplex
+resumes from it.  export_lp writes the model in the standard LP text
+format for external solvers.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs  # the HiGHS binding linprog(method="highs") drives
 
 from .priors import DiscretePrior
 
@@ -313,41 +317,95 @@ class LpError(RuntimeError):
     pass
 
 
-def solve_lp(model, feasibility_tol=1e-7):
-    """Solve the assembled LP and read back the envelope point.
+def _highs_instance(model):
+    """A HiGHS instance holding the model, with linprog(method="highs")'s options."""
+    a = sparse.vstack((model.a_ub, model.a_eq)).tocsc()
+    lower, upper = np.array(
+        [(-np.inf if lo is None else lo, np.inf if hi is None else hi) for lo, hi in model.bounds]
+    ).T
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = model.num_vars
+    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = a.indptr
+    lp.a_matrix_.index_ = a.indices
+    lp.a_matrix_.value_ = a.data
+    lp.col_cost_ = model.c
+    lp.col_lower_ = lower
+    lp.col_upper_ = upper
+    lp.row_lower_ = np.concatenate((np.full(len(model.b_ub), -np.inf), model.b_eq))
+    lp.row_upper_ = np.concatenate((model.b_ub, model.b_eq))
+    highs = _highs._Highs()
+    for option, value in (("presolve", "on"), ("output_flag", False), ("log_to_console", False)):
+        highs.setOptionValue(option, value)
+    highs.passModel(lp)
+    return highs, lower, upper
+
+
+def _read_solution(highs, model, lam, lower, upper, feasibility_tol):
+    """Check the solve HiGHS just finished and read back the envelope point.
 
     alpha and beta are recomputed from the optimal rejection table (they are
     the win-probability expressions at y*), which pins them even when their
     objective weight is 0.
     """
-    res = linprog(
-        model.c,
-        A_ub=model.a_ub,
-        b_ub=model.b_ub,
-        A_eq=model.a_eq,
-        b_eq=model.b_eq,
-        bounds=model.bounds,
-        method="highs",
-    )
-    if res.status == 3:
+    status = highs.getModelStatus()
+    if status == _highs.HighsModelStatus.kUnbounded:
         raise LpError("LP reported unbounded; alpha and beta are bounded by 1, so the model is broken")
-    if res.status == 2:
+    if status == _highs.HighsModelStatus.kInfeasible:
         raise LpError("LP reported infeasible; the reject-all table is always feasible, so the model is broken")
-    if not res.success:
-        raise LpError(f"LP solve failed: {res.message}")
-    x = res.x
-    resid_ub = float(np.max(model.a_ub @ x - model.b_ub, initial=0.0))
-    resid_eq = float(np.max(np.abs(model.a_eq @ x - model.b_eq), initial=0.0))
-    if max(resid_ub, resid_eq) > feasibility_tol:
-        raise LpError(f"solution violates constraints by {max(resid_ub, resid_eq):.3e}")
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise LpError(f"LP solve failed: {highs.modelStatusToString(status)}")
+    x = np.array(highs.getSolution().col_value)
+    resid = max(
+        float(np.max(model.a_ub @ x - model.b_ub, initial=0.0)),
+        float(np.max(np.abs(model.a_eq @ x - model.b_eq), initial=0.0)),
+        float(np.max(lower - x, initial=0.0)),
+        float(np.max(x - upper, initial=0.0)),
+    )
+    if resid > feasibility_tol:
+        raise LpError(f"solution violates constraints by {resid:.3e}")
     y = x[: model.n * model.K].reshape(model.n, model.K)
     exprs = win_prob_by_truncation(y, model.pmf)
     alpha = float(exprs[-1])
     beta = float(exprs.min())
-    objective = float(-res.fun)
-    if abs(model.lam * alpha + (1.0 - model.lam) * beta - objective) > 1e-6:
+    objective = -highs.getInfo().objective_function_value
+    if abs(lam * alpha + (1.0 - lam) * beta - objective) > 1e-6:
         raise LpError("recomputed envelope point disagrees with the LP objective")
-    return LpSolution(lam=model.lam, objective=objective, alpha=alpha, beta=beta, y=y)
+    return LpSolution(lam=lam, objective=objective, alpha=alpha, beta=beta, y=y)
+
+
+def _solve_lambdas(model, lambdas, feasibility_tol=1e-7):
+    """Solve the model at each lambda in turn on one HiGHS instance.
+
+    Each lambda only changes the alpha and beta costs, so every run after
+    the first resumes from the previous optimal basis.  Returns, in the
+    given order, an LpSolution or the LpError that voids it.
+    """
+    highs, lower, upper = _highs_instance(model)
+    cols = np.array([model.num_vars - 2, model.num_vars - 1], dtype=np.int32)
+    results = []
+    for lam in lambdas:
+        highs.changeColsCost(2, cols, np.array([-lam, -(1.0 - lam)]))
+        highs.run()
+        try:
+            results.append(_read_solution(highs, model, lam, lower, upper, feasibility_tol))
+        except LpError as exc:
+            results.append(exc)
+    return results
+
+
+def solve_lp(model, feasibility_tol=1e-7):
+    """Solve the assembled LP at its own lambda and read back the envelope point.
+
+    alpha and beta are recomputed from the optimal rejection table; a
+    non-optimal status, a residual above feasibility_tol or a mismatched
+    envelope raises LpError.
+    """
+    (result,) = _solve_lambdas(model, [model.lam], feasibility_tol)
+    if isinstance(result, LpError):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -360,16 +418,25 @@ class FrontierPoint:
 
 
 def frontier_sweep(n, K, pmf, lambdas):
-    """Solve the LP across a lambda grid; per-point failures become gaps."""
+    """Solve the LP across a lambda grid; per-point failures become gaps.
+
+    Every lambda is checked before anything is built.  The distinct lambdas
+    are solved in descending order on one HiGHS instance (the lambda = 1
+    cold solve is the cheapest), and the points come back in input order.
+    """
+    lambdas = [float(lam) for lam in lambdas]
+    if not all(0.0 <= lam <= 1.0 for lam in lambdas):
+        raise ValueError("lambda weight must lie in [0, 1]")
     base = build_polytope(n, K, pmf, 0.5)
+    order = sorted(set(lambdas), reverse=True)
+    solved = dict(zip(order, _solve_lambdas(base, order)))
     points = []
     for lam in lambdas:
-        try:
-            sol = solve_lp(base.with_lambda(float(lam)))
-        except LpError as exc:
-            points.append(FrontierPoint(float(lam), math.nan, math.nan, math.nan, str(exc)))
+        sol = solved[lam]
+        if isinstance(sol, LpError):
+            points.append(FrontierPoint(lam, math.nan, math.nan, math.nan, str(sol)))
         else:
-            points.append(FrontierPoint(sol.lam, sol.objective, sol.alpha, sol.beta))
+            points.append(FrontierPoint(lam, sol.objective, sol.alpha, sol.beta))
     return points
 
 
@@ -536,19 +603,21 @@ def export_lp(model):
     """Serialize the model in the standard LP text format."""
     lines = ["Maximize", f" obj: {_terms_to_str([('alpha', model.lam), ('beta', 1.0 - model.lam)])}"]
     lines.append("Subject To")
-    a_eq = model.a_eq.tocoo()
-    a_ub = model.a_ub.tocoo()
+    names = model.col_names
 
-    def rows_of(coo, nrows):
-        rows = [[] for _ in range(nrows)]
-        order = np.lexsort((coo.col, coo.row))
-        for i in order:
-            rows[coo.row[i]].append((model.col_names[coo.col[i]], float(coo.data[i])))
-        return rows
+    def rows_of(csr):
+        csr = csr.sorted_indices()
+        starts = csr.indptr.tolist()
+        cols = csr.indices.tolist()
+        vals = csr.data.tolist()
+        return [
+            [(names[cols[i]], vals[i]) for i in range(lo, hi)]
+            for lo, hi in zip(starts[:-1], starts[1:])
+        ]
 
-    for name, terms, rhs in zip(model.row_names_ub, rows_of(a_ub, len(model.b_ub)), model.b_ub):
+    for name, terms, rhs in zip(model.row_names_ub, rows_of(model.a_ub), model.b_ub):
         lines.append(f" {name}: {_terms_to_str(terms)} <= {_fmt(rhs)}")
-    for name, terms, rhs in zip(model.row_names_eq, rows_of(a_eq, len(model.b_eq)), model.b_eq):
+    for name, terms, rhs in zip(model.row_names_eq, rows_of(model.a_eq), model.b_eq):
         lines.append(f" {name}: {_terms_to_str(terms)} = {_fmt(rhs)}")
     lines.append("Bounds")
     for name, (lo, hi) in zip(model.col_names, model.bounds):

@@ -1,9 +1,15 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+from stoppred import hardness
 from stoppred.hardness import (
+    LpError,
     acc_to_rej,
     brute_force_win_prob,
     build_polytope,
@@ -177,6 +183,88 @@ def test_frontier_convex(desk_model):
     # pointwise max of linear functions: second differences non-negative
     second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
     assert np.min(second) >= -1e-7
+
+
+def _cold_linprog(model):
+    """Independent reference: scipy's linprog from scratch on the same model."""
+    return linprog(
+        model.c,
+        A_ub=model.a_ub,
+        b_ub=model.b_ub,
+        A_eq=model.a_eq,
+        b_eq=model.b_eq,
+        bounds=model.bounds,
+        method="highs",
+    )
+
+
+def test_solve_lp_matches_linprog_bitwise(desk_model):
+    for lam in (0.0, 0.5, 1.0):
+        model = desk_model.with_lambda(lam)
+        res = _cold_linprog(model)
+        sol = solve_lp(model)
+        assert sol.objective == -res.fun
+        assert np.array_equal(sol.y, res.x[: model.n * model.K].reshape(model.n, model.K))
+
+
+_SWEEP_LAMBDA = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    weights=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=8),
+    lambdas=st.one_of(st.lists(_SWEEP_LAMBDA, min_size=1, max_size=6), _SWEEP_LAMBDA.map(lambda lam: [lam])),
+)
+def test_frontier_sweep_matches_cold_solves(n, weights, lambdas):
+    K = len(weights)
+    pmf = np.array(weights) / np.sum(weights)
+    points = frontier_sweep(n, K, pmf, lambdas)
+    assert [p.lam for p in points] == lambdas
+    base = build_polytope(n, K, pmf, 0.5)
+    for p in points:
+        assert p.error is None
+        assert abs(p.lp_star - -_cold_linprog(base.with_lambda(p.lam)).fun) <= 1e-7
+        assert abs(p.lam * p.alpha_star + (1.0 - p.lam) * p.beta_star - p.lp_star) <= 1e-6
+
+
+def test_frontier_sweep_checks_lambdas_before_solving(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep built or solved before checking its lambdas")
+
+    monkeypatch.setattr(hardness, "build_polytope", never)
+    monkeypatch.setattr(hardness, "_solve_lambdas", never)
+    for lambdas in ([0.5, 1.5], [-0.1], [0.0, float("nan")]):
+        with pytest.raises(ValueError, match="lambda weight"):
+            frontier_sweep(3, 3, harmonic_prior(3), lambdas)
+
+
+def _infeasible_model(model):
+    # pdef_1_1 reads p_1_1 = D[1, 1] y_1_1 = y_1_1 <= 1; a right-hand side of 5 forces p > 1
+    b_eq = model.b_eq.copy()
+    b_eq[model.row_names_eq.index("pdef_1_1")] = 5.0
+    return replace(model, b_eq=b_eq)
+
+
+def _unbounded_model(model):
+    # without the consistency row alpha <= b_K, alpha is free
+    b_ub = model.b_ub.copy()
+    b_ub[model.row_names_ub.index("cons")] = np.inf
+    return replace(model, b_ub=b_ub)
+
+
+def test_solve_lp_maps_highs_status(desk_model):
+    with pytest.raises(LpError, match="^LP reported infeasible; the reject-all table is always feasible"):
+        solve_lp(_infeasible_model(desk_model))
+    with pytest.raises(LpError, match="^LP reported unbounded; alpha and beta are bounded by 1"):
+        solve_lp(_unbounded_model(desk_model.with_lambda(1.0)))
+
+
+def test_failed_lambda_leaves_the_sweep_going(desk_model):
+    # at lambda = 0 alpha has no cost, so dropping its row changes nothing
+    failed, solved = hardness._solve_lambdas(_unbounded_model(desk_model), [1.0, 0.0])
+    assert isinstance(failed, LpError) and "unbounded" in str(failed)
+    assert solved.objective == pytest.approx(LP_GOLDEN[0.0], abs=1e-6)
 
 
 def test_export_parse_roundtrip():
