@@ -81,7 +81,7 @@ def maxprob_alpha(beta, spec=DEFAULT_SPEC):
     clipped to 1e-12, which perturbs the result by under 1e-10.
     """
     beta = float(beta)
-    if beta < 0.0 or beta > E_INV + 1e-15:
+    if not (0.0 <= beta <= E_INV + 1e-15):
         raise ValueError("beta must lie in [0, 1/e]")
     if beta >= E_INV - 1e-13:
         # the roots coincide at the peak, so the band is empty
@@ -227,7 +227,7 @@ def maxexp_tail_prob(theta, n, y, spec=DEFAULT_SPEC):
         raise ValueError("need integer n >= 1")
     n = int(n)
     y = float(y)
-    if y < 0.0 or y > 1.0:
+    if not (0.0 <= y <= 1.0):
         raise ValueError("y must lie in [0, 1]")
     if y == 1.0:
         return 0.0
@@ -305,7 +305,7 @@ def consistency_integral(theta, z):
     where the piece integrals reduce to pow_integral and log_time_integral.
     """
     z = float(z)
-    if z < 0.0 or z > 1.0:
+    if not (0.0 <= z <= 1.0):
         raise ValueError("z must lie in [0, 1]")
     total = 0.0
     if z < 1.0:

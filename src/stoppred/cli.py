@@ -83,11 +83,16 @@ def parse_grid(text):
     try:
         if ":" in text:
             a, b, step = (float(x) for x in text.split(":"))
+            if not all(-math.inf < x < math.inf for x in (a, b, step)):
+                raise ValueError("grid bounds and step must be finite")
             if step <= 0:
                 raise ValueError("step must be positive")
             count = int(math.floor((b - a) / step + 1e-9)) + 1
             return [a + i * step for i in range(count)]
-        return [float(x) for x in text.split(",")]
+        grid = [float(x) for x in text.split(",")]
+        if not all(-math.inf < x < math.inf for x in grid):
+            raise ValueError("grid values must be finite")
+        return grid
     except ValueError as exc:
         raise CliError(f"bad grid {text!r}: {exc}") from exc
 
@@ -195,12 +200,14 @@ def cmd_hardness_frontier(args):
             raise CliError("export mode needs --out DIRECTORY")
         os.makedirs(args.out, exist_ok=True)
         model = hardness.build_polytope(args.n, args.k_support, prior, 0.5)
+        # only the objective depends on lambda, so the body is serialized once
+        body = hardness.export_lp_body(model)
         for lam in lambdas:
             header = manifest_line("hardness-frontier", {**params, "lambda": _g(lam)}).lstrip("# ")
-            text = "\\ " + header + "\n" + hardness.export_lp(model.with_lambda(lam))
+            objective = hardness.export_lp_objective(model.with_lambda(lam))
             path = f"{args.out}/frontier_lambda_{lam:.4f}.lp"
             with open(path, "w") as fh:
-                fh.write(text)
+                fh.write("\\ " + header + "\n" + objective + body)
         print(f"wrote {len(lambdas)} LP files to {args.out}")
         return EXIT_OK
     points = hardness.frontier_sweep(args.n, args.k_support, prior, lambdas)

@@ -52,6 +52,8 @@ __all__ = [
     "LpSolution",
     "solve_lp",
     "export_lp",
+    "export_lp_objective",
+    "export_lp_body",
     "parse_lp",
     "FrontierPoint",
     "frontier_sweep",
@@ -601,8 +603,17 @@ def _terms_to_str(pairs):
 
 def export_lp(model):
     """Serialize the model in the standard LP text format."""
-    lines = ["Maximize", f" obj: {_terms_to_str([('alpha', model.lam), ('beta', 1.0 - model.lam)])}"]
-    lines.append("Subject To")
+    return export_lp_objective(model) + export_lp_body(model)
+
+
+def export_lp_objective(model):
+    """The objective section of ``export_lp``, the only part that depends on lambda."""
+    return f"Maximize\n obj: {_terms_to_str([('alpha', model.lam), ('beta', 1.0 - model.lam)])}\n"
+
+
+def export_lp_body(model):
+    """The constraint and bounds sections of ``export_lp``, shared by every lambda."""
+    lines = ["Subject To"]
     names = model.col_names
 
     def rows_of(csr):

@@ -69,8 +69,8 @@ class Uniform(Prior):
     """Uniform distribution on [a, b]."""
 
     def __init__(self, a, b):
-        if not b > a:
-            raise ValueError("need b > a")
+        if not (-math.inf < a < b < math.inf):
+            raise ValueError("need finite a < b")
         self.a = float(a)
         self.b = float(b)
 
@@ -91,8 +91,8 @@ class Exponential(Prior):
     """Exponential distribution with the given rate; support [0, inf)."""
 
     def __init__(self, rate):
-        if not rate > 0:
-            raise ValueError("need rate > 0")
+        if not (0.0 < rate < math.inf):
+            raise ValueError("need a finite rate > 0")
         self.rate = float(rate)
 
     def __repr__(self):
@@ -207,7 +207,8 @@ class DiscretePrior(Prior):
 
     def cdf(self, x):
         arr, scalar = _as_float_array(x)
-        idx = np.clip(np.floor(arr).astype(int), 0, self.support_size)
+        # clip before the cast: a float past 2**63 has no integer to cast to
+        idx = np.clip(np.floor(arr), 0, self.support_size).astype(int)
         table = np.concatenate(([0.0], self._cum))
         return _maybe_scalar(table[idx], scalar)
 
@@ -278,7 +279,7 @@ def lambda_pair(beta, iters=100):
     (the map peaks at 1/e where both roots coincide).
     """
     beta = float(beta)
-    if beta < 0.0 or beta > E_INV + 1e-15:
+    if not (0.0 <= beta <= E_INV + 1e-15):
         raise ValueError("beta must lie in [0, 1/e]")
     beta = min(beta, E_INV)
     if beta == 0.0:

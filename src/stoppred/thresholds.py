@@ -47,15 +47,16 @@ class ThresholdFn:
         vals = np.asarray(values, dtype=float)
         if bp.shape != vals.shape or bp.ndim != 1 or len(bp) == 0:
             raise ValueError("breakpoints and values must be 1-d arrays of equal length")
-        if np.any(np.diff(bp) <= 0):
+        # every check is written so that a NaN fails it
+        if not np.all(np.diff(bp) > 0):
             raise ValueError("breakpoints must be strictly increasing")
         if bp[-1] != 1.0:
             raise ValueError("last breakpoint must be 1")
-        if bp[0] <= 0.0:
+        if not bp[0] > 0.0:
             raise ValueError("breakpoints must be positive")
         if np.any(np.diff(vals) > _MONO_TOL):
             raise ValueError("values must be non-increasing")
-        if np.any(vals < 0.0):
+        if not np.all(vals >= 0.0):
             raise ValueError("values must be non-negative")
         self.breakpoints = bp
         self.values = vals
@@ -123,7 +124,7 @@ def _simplify(breaks, vals):
 def dynkin_threshold(lam):
     """1 on [0, lam], 0 on (lam, 1]: wait, then take the first best-so-far value."""
     lam = float(lam)
-    if lam < 0.0 or lam > 1.0:
+    if not (0.0 <= lam <= 1.0):
         raise ValueError("lam must lie in [0, 1]")
     if lam == 0.0:
         return ThresholdFn([1.0], [0.0])
@@ -217,7 +218,7 @@ def gm_threshold_value(n, s):
     if int(n) != n or n < 2:
         raise ValueError("need integer n >= 2")
     s = float(s)
-    if s < 0.0 or s > 1.0:
+    if not (0.0 <= s <= 1.0):
         raise ValueError("s must lie in [0, 1]")
     if s == 1.0:
         return 0.0
@@ -246,7 +247,7 @@ def gm_asymptotic(s, n, c):
     if int(n) != n or n < 2:
         raise ValueError("need integer n >= 2")
     s = float(s)
-    if s < 0.0 or s >= 1.0:
+    if not (0.0 <= s < 1.0):
         raise ValueError("s must lie in [0, 1)")
     return 1.0 / (1.0 + c / ((n - 1) * (1.0 - s)))
 

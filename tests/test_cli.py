@@ -1,6 +1,6 @@
 import pytest
 
-from stoppred import cli
+from stoppred import cli, hardness
 from stoppred.priors import E_INV
 from stoppred.thresholds import threshold_from_csv
 
@@ -88,6 +88,12 @@ def test_hardness_frontier_export(tmp_path, capsys):
     files = sorted((tmp_path / "lps").glob("*.lp"))
     assert len(files) == 2
     assert files[0].read_text().splitlines()[1] == "Maximize"
+    # the shared body makes each file the one-model export at its lambda
+    model = hardness.build_polytope(2, 3, hardness.harmonic_prior(3), 0.5)
+    for path, lam in zip(files, [0.0, 1.0]):
+        head, text = path.read_text().split("\n", 1)
+        assert head.startswith("\\ command=hardness-frontier") and f" lambda={lam:.17g} " in head
+        assert text == hardness.export_lp(model.with_lambda(lam))
 
 
 def test_maxexp_curve_peak_point(capsys):
@@ -142,10 +148,22 @@ SIM = ["simulate", "--real", "uniform:0,1", "--predicted", "uniform:0,1", "--thr
         ["maxprob-curve", "--beta", "0.5"],
         ["thresholds", "--threshold", "gm:5", "--robustify", "0.9"],
         ["hardness-frontier", "--n", "3", "--k-support", "8", "--lambda-grid", "0:2:0.5"],
+        # non-finite numbers
+        ["simulate", "--real", "uniform:0,inf"] + SIM[3:] + ["--n", "5", "--trials", "10"],
+        ["simulate", "--real", "exp:inf"] + SIM[3:] + ["--n", "5", "--trials", "10"],
+        ["maxprob-curve", "--beta", "nan"],
+        ["thresholds", "--threshold", "dynkin:nan"],
+        ["thresholds", "--threshold", "gm:5", "--robustify", "nan"],
+        ["thresholds", "--threshold", "file:{tmp}/nan_level.csv"],
+        ["thresholds", "--threshold", "file:{tmp}/nan_break.csv"],
+        ["hardness-frontier", "--n", "3", "--k-support", "8", "--lambda-grid", "0:inf:1"],
+        ["hardness-frontier", "--n", "3", "--k-support", "8", "--lambda-grid", "0,nan"],
     ],
 )
-def test_library_domain_errors_are_usage_errors(capsys, argv):
-    code, _, err = run_cli(capsys, *argv)
+def test_library_domain_errors_are_usage_errors(capsys, tmp_path, argv):
+    (tmp_path / "nan_level.csv").write_text("t,theta\n0.5,nan\n1,0\n")
+    (tmp_path / "nan_break.csv").write_text("t,theta\nnan,1\n1,0\n")
+    code, _, err = run_cli(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
     assert code == 2
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1

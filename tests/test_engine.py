@@ -228,7 +228,7 @@ def _literal_accepted(values, times, predicted, theta):
 @given(st.integers(1, 8).flatmap(timed_rows), st.sampled_from(PREDICTED), step_thresholds())
 def test_scan_matches_literal_loop(rows, predicted, theta):
     values, times = rows
-    pos, acc = engine.scan_first_accept(values, np.asarray(predicted.cdf(values)), theta.eval(times))
+    pos, acc = engine.scan_first_accept(values, times, predicted, theta)
     for i in range(len(values)):
         assert (pos[i], acc[i]) == _literal_accepted(values[i], times[i], predicted, theta)
 

@@ -30,6 +30,26 @@ def test_discrete_cdf_partial_sum():
     assert prior.cdf(3) == 1.0
 
 
+def test_discrete_cdf_far_outside_the_support():
+    # values past 2**63 have no int64; the cdf must clip before casting
+    prior = DiscretePrior([0.5, 0.3, 0.2])
+    assert prior.cdf(3.5) == 1.0
+    assert prior.cdf(1e30) == 1.0
+    assert prior.cdf(math.inf) == 1.0
+    assert prior.cdf(-1e30) == 0.0
+    assert prior.cdf(-math.inf) == 0.0
+    assert prior.cdf(np.array([-math.inf, 1.5, 1e30, math.inf])).tolist() == [0.0, 0.5, 1.0, 1.0]
+
+
+def test_non_finite_parameters_are_rejected():
+    for args in [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (math.nan, 1.0)]:
+        with pytest.raises(ValueError):
+            Uniform(*args)
+    for rate in [math.inf, math.nan]:
+        with pytest.raises(ValueError):
+            Exponential(rate)
+
+
 def test_quantile_examples():
     assert Uniform(0, 1).quantile(0.25) == 0.25
     assert Uniform(2, 3).quantile(0.0) == 2.0
@@ -151,6 +171,8 @@ def test_lambda_pair_rejects_outside():
         lambda_pair(-0.01)
     with pytest.raises(ValueError):
         lambda_pair(0.4)
+    with pytest.raises(ValueError):
+        lambda_pair(math.nan)
 
 
 def test_lambda_pair_residuals_on_grid():

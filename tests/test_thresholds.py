@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,9 @@ def test_validation():
         ThresholdFn([0.5], [1.0])  # last breakpoint not 1
     with pytest.raises(ValueError):
         ThresholdFn([0.5, 0.5, 1.0], [1.0, 0.5, 0.0])
+    for breaks, vals in [([math.nan, 1.0], [1.0, 0.0]), ([0.5, 1.0], [math.nan, 0.0]), ([1.0], [math.nan])]:
+        with pytest.raises(ValueError):
+            ThresholdFn(breaks, vals)
 
 
 def test_dynkin_edges():
