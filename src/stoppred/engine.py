@@ -16,6 +16,15 @@ threshold at those entries only: a row of n i.i.d. values holds H_n of
 them on average (5.9 of 200), so the per-entry work is one running
 maximum.  ``run_bicriteria`` keeps the literal per-value loop as the
 reference the scan is tested against.
+
+The rows come in two forms.  Full rows hold all n values and their sorted
+arrival times.  Record rows hold only the weak records (the values at least
+as large as everything before them), drawn directly as a Markov chain
+(``_record_batch``), so a trial costs O(H_n) instead of O(n).  ``simulate``
+and ``accepted_value_samples`` draw record rows from n = RECORD_ROWS_MIN_N
+on and full rows below it, where full rows are faster; ``googol_win_mc``
+(fixed values) and ``simulate_coupled_sharding`` (which needs every shard
+value) always scan full rows.
 """
 
 from __future__ import annotations
@@ -28,6 +37,11 @@ import numpy as np
 from .priors import power_root_cdf
 
 _BATCH = 4096  # fixed so that a seed pins the whole random stream
+# simulate and accepted_value_samples draw record rows from this n on and
+# full rows below it; the two cost the same near n = 30 (4e5 trials of a
+# robustified gm threshold on Uniform(0, 1), 2-CPU host)
+RECORD_ROWS_MIN_N = 32
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 __all__ = [
     "Instance",
@@ -185,6 +199,7 @@ def _check_sizes(n, trials):
 
 
 def _scan_batch(rng, b, n, real, predicted, theta):
+    """Scan b full rows of n values each; returns (pos, accepted, maximum)."""
     # values are i.i.d. and independent of the arrival order, so sorting the
     # times alone puts every row in time order
     vals = real.quantile(rng.random((b, n)))
@@ -194,20 +209,89 @@ def _scan_batch(rng, b, n, real, predicted, theta):
     return pos, acc, vals.max(axis=1)
 
 
-def accepted_value_samples(real, predicted, theta, n, trials, seed):
-    """Per-trial (accepted value, maximum value); 0 marks no acceptance."""
+def _record_batch(rng, b, n, real, predicted, theta):
+    """Scan b record rows: the weak records of n values, drawn as a chain.
+
+    Only a best-so-far value can be accepted, so a row needs only its weak
+    records, about H_n of its n values.  After a record at time t with
+    left level l = F_real(x-) (the level u itself for a continuous prior;
+    for a discrete one the cdf below x, so that a tie with x is again a
+    record), the J later values at or above x arrive i.i.d. uniform on
+    (t, 1) with levels uniform on (l, 1).  The chain draws
+
+        t' = t + (1 - t) Beta(1, J),  u' ~ U(l, 1),
+        J' ~ Bin(J - 1, (1 - l') / (1 - l)),
+
+    from t ~ Beta(1, n), u ~ U(0, 1), J ~ Bin(n - 1, 1 - l), and stops at
+    J = 0, so the last record is the row maximum.  Rows are padded with -1,
+    which the scan's running maximum (started at 0) never takes for a
+    best-so-far value.  Returns (pos, accepted, maximum); pos counts records.
+    """
+    continuous = real.kind == "continuous"
+    # H_n plus six standard deviations stays below 32 columns up to n = 1e5;
+    # a longer row doubles the width
+    width = 32
+    vals = np.full((b, width), -1.0)
+    times = np.ones((b, width))
+    rows = np.arange(b)
+    # Beta(1, m) is the first of m uniforms: 1 - t = V ** (1/m) with V
+    # uniform on (0, 1]; the time is carried as log(1 - t)
+    log_rest = np.log1p(-rng.random(b)) / n
+    u = rng.random(b)
+    x = real.quantile(u)
+    level = u if continuous else real.cdf_left(x)
+    later = rng.binomial(n - 1, 1.0 - level)
+    col = 0
+    while True:
+        vals[rows, col] = x
+        times[rows, col] = -np.expm1(log_rest)
+        live = np.flatnonzero(later)
+        if len(live) == 0:
+            break
+        rows, log_rest, level, later = rows[live], log_rest[live], level[live], later[live]
+        col += 1
+        if col == width:
+            width *= 2
+            vals = np.concatenate([vals, np.full_like(vals, -1.0)], axis=1)
+            times = np.concatenate([times, np.ones_like(times)], axis=1)
+        log_rest = log_rest + np.log1p(-rng.random(len(rows))) / later
+        # u' ~ U(l, 1), kept off 1, where an unbounded quantile is inf, and
+        # for a discrete prior off l, whose quantile is the point below x
+        u = level + (1.0 - level) * rng.random(len(rows))
+        u = np.minimum(u, _BELOW_ONE) if continuous else np.clip(u, np.nextafter(level, 1.0), _BELOW_ONE)
+        x = real.quantile(u)
+        above = u if continuous else real.cdf_left(x)
+        later = rng.binomial(later - 1, (1.0 - above) / (1.0 - level))
+        level = above
+    vals, times = vals[:, : col + 1], times[:, : col + 1]
+    pos, acc = scan_first_accept(vals, times, predicted, theta)
+    return pos, acc, vals.max(axis=1)
+
+
+def _row_batches(real, predicted, theta, n, trials, seed):
+    """(pos, accepted, maximum) per batch of simulated rows.
+
+    Record rows from n = RECORD_ROWS_MIN_N on, full rows below it; either
+    way a seed pins the whole random stream.
+    """
     _check_sizes(n, trials)
     if real.quantile(0.0) < 0.0:
         raise ValueError("real prior must be supported on [0, inf)")
+    batch = _record_batch if n >= RECORD_ROWS_MIN_N else _scan_batch
     rng = np.random.default_rng(seed)
+    return (batch(rng, b, n, real, predicted, theta) for b in _batches(trials))
+
+
+def accepted_value_samples(real, predicted, theta, n, trials, seed):
+    """Per-trial (accepted value, maximum value); 0 marks no acceptance."""
+    batches = _row_batches(real, predicted, theta, n, trials, seed)
     accepted = np.empty(trials)
     maxima = np.empty(trials)
     done = 0
-    for b in _batches(trials):
-        _, acc, mx = _scan_batch(rng, b, n, real, predicted, theta)
-        accepted[done : done + b] = acc
-        maxima[done : done + b] = mx
-        done += b
+    for _, acc, mx in batches:
+        accepted[done : done + len(acc)] = acc
+        maxima[done : done + len(acc)] = mx
+        done += len(acc)
     return accepted, maxima
 
 
@@ -218,15 +302,15 @@ def simulate(real, predicted, theta, n, trials, seed):
     times; the threshold consults the (possibly different) predicted prior.
     Deterministic for a fixed seed.
     """
-    _check_sizes(n, trials)
-    if real.quantile(0.0) < 0.0:
-        raise ValueError("real prior must be supported on [0, inf)")
-    rng = np.random.default_rng(seed)
+    return _sim_report(_row_batches(real, predicted, theta, n, trials, seed), trials)
+
+
+def _sim_report(batches, trials):
+    """SimReport over (pos, accepted, maximum) batches of trials rows in all."""
     wins = 0
     accepts = 0
     s_a = s_aa = s_m = s_mm = s_am = 0.0
-    for b in _batches(trials):
-        pos, acc, mx = _scan_batch(rng, b, n, real, predicted, theta)
+    for pos, acc, mx in batches:
         wins += int(np.count_nonzero((pos >= 0) & (acc == mx)))
         accepts += int(np.count_nonzero(pos >= 0))
         s_a += acc.sum()
@@ -264,6 +348,8 @@ def googol_win_mc(values, predicted, theta, trials, seed):
     values = np.asarray(values, dtype=float)
     if len(np.unique(values)) != len(values):
         raise ValueError("values must be distinct")
+    if np.any(values < 0.0):
+        raise ValueError("values must be non-negative")
     n = len(values)
     _check_sizes(n, trials)
     vmax = values.max()

@@ -206,13 +206,26 @@ class CurvePoint:
 
 
 def tradeoff_curve_maxexp(betas, m, tol=1e-4):
-    """max_alpha_for_beta across a beta grid; failures become gaps."""
+    """max_alpha_for_beta across a beta grid; failures become gaps.
+
+    Arguments outside the curve's domain raise ValueError before any point
+    is solved: a beta outside [0, 1/e] (NaN included), m < 2 or tol <= 0.
+    A beta inside it that the recursion cannot solve (beta = 0, where
+    lambda2 = 1) becomes a gap.
+    """
+    betas = [float(beta) for beta in betas]
+    if not all(0.0 <= beta <= E_INV + 1e-15 for beta in betas):
+        raise ValueError("beta must lie in [0, 1/e]")
+    if int(m) != m or m < 2:
+        raise ValueError("need integer m >= 2")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     points = []
     for beta in betas:
         try:
-            alpha, sol = max_alpha_for_beta(float(beta), m, tol)
+            alpha, sol = max_alpha_for_beta(beta, m, tol)
         except (ValueError, ArithmeticError) as exc:
-            points.append(CurvePoint(float(beta), None, None, str(exc)))
+            points.append(CurvePoint(beta, None, None, str(exc)))
         else:
-            points.append(CurvePoint(float(beta), alpha, sol))
+            points.append(CurvePoint(beta, alpha, sol))
     return points

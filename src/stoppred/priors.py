@@ -197,6 +197,7 @@ class DiscretePrior(Prior):
         cum = np.cumsum(pmf)
         cum[-1] = 1.0
         self._cum = cum
+        self._cdf_table = np.concatenate(([0.0], cum))  # entry l: P[X <= l]
 
     def __repr__(self):
         return f"DiscretePrior(K={self.support_size})"
@@ -209,8 +210,13 @@ class DiscretePrior(Prior):
         arr, scalar = _as_float_array(x)
         # clip before the cast: a float past 2**63 has no integer to cast to
         idx = np.clip(np.floor(arr), 0, self.support_size).astype(int)
-        table = np.concatenate(([0.0], self._cum))
-        return _maybe_scalar(table[idx], scalar)
+        return _maybe_scalar(self._cdf_table[idx], scalar)
+
+    def cdf_left(self, x):
+        """Left limit of the cdf, P[X < x]: the cdf at the support point below x."""
+        arr, scalar = _as_float_array(x)
+        idx = np.clip(np.ceil(arr) - 1.0, 0, self.support_size).astype(int)
+        return _maybe_scalar(self._cdf_table[idx], scalar)
 
     def quantile(self, q):
         """Right-continuous inverse: the smallest level with cdf >= q."""

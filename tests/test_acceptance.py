@@ -199,6 +199,26 @@ def test_criterion_09_monotone_consistency(pair_third):
     )
 
 
+def test_criterion_09_large_n_simulation(pair_third):
+    # companion: the simulated win probability at n = 1e4 (against the exact
+    # finite-n value) and at n = 1e6 (against the continuum limit).  Only
+    # record rows run n = 1e6: one 4096-row batch of full rows would need
+    # 33 GB.
+    t0 = time.time()
+    alpha_limit = analytics.maxprob_alpha(1.0 / 3.0)
+    ok = True
+    details = []
+    for n, seed in ((10_000, 1501), (1_000_000, 1502)):
+        theta = thresholds.robustify(thresholds.gm_threshold(n, 300), pair_third)
+        target = analytics.win_probability(theta, n) if n == 10_000 else alpha_limit
+        rep = engine.simulate(UNIT, UNIT, theta, n, 200_000, seed)
+        dev = (rep.maxprob - target) / rep.maxprob_se
+        ok &= abs(dev) <= 4.0
+        details.append(f"n={n}: {rep.maxprob:.5f} vs {target:.6f} ({dev:+.2f} se)")
+    ok = ok and time.time() - t0 < 60.0
+    _report(9, "companion: simulated win probability at large n", ok, "; ".join(details), t0)
+
+
 def test_criterion_10_sharding_dominance():
     t0 = time.time()
     results = []

@@ -146,12 +146,16 @@ SIM = ["simulate", "--real", "uniform:0,1", "--predicted", "uniform:0,1", "--thr
         SIM + ["--n", "5", "--trials", "0"],
         SIM + ["--n", "0"],
         ["maxprob-curve", "--beta", "0.5"],
+        ["maxexp-curve", "--beta", "0.5"],
+        ["maxexp-curve", "--beta-grid", "0.1,0.5", "--m", "40"],
+        ["maxexp-curve", "--beta", "0.1", "--m", "1"],
         ["thresholds", "--threshold", "gm:5", "--robustify", "0.9"],
         ["hardness-frontier", "--n", "3", "--k-support", "8", "--lambda-grid", "0:2:0.5"],
         # non-finite numbers
         ["simulate", "--real", "uniform:0,inf"] + SIM[3:] + ["--n", "5", "--trials", "10"],
         ["simulate", "--real", "exp:inf"] + SIM[3:] + ["--n", "5", "--trials", "10"],
         ["maxprob-curve", "--beta", "nan"],
+        ["maxexp-curve", "--beta", "nan"],
         ["thresholds", "--threshold", "dynkin:nan"],
         ["thresholds", "--threshold", "gm:5", "--robustify", "nan"],
         ["thresholds", "--threshold", "file:{tmp}/nan_level.csv"],

@@ -15,8 +15,17 @@ from stoppred.engine import (
     simulate,
     simulate_coupled_sharding,
 )
-from stoppred.priors import E_INV, Uniform, lambda_pair, neg_lambda_log, power_root_cdf
-from stoppred.thresholds import ThresholdFn, dynkin_threshold, gm_threshold, robustify
+from stoppred.analytics import win_probability
+from stoppred.priors import (
+    E_INV,
+    DiscretePrior,
+    Exponential,
+    Uniform,
+    lambda_pair,
+    neg_lambda_log,
+    power_root_cdf,
+)
+from stoppred.thresholds import ThresholdFn, dynkin_threshold, gm_threshold, robustify, single_threshold
 
 from conftest import random_step_threshold
 
@@ -277,3 +286,96 @@ def test_run_sharding_matches_literal_loop(n, k, seed, theta):
 def test_engine_rejects_empty_sizes(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_engine_rejects_negative_values():
+    # the scan starts its running maximum at 0, so a negative value would
+    # never count as best-so-far and the estimate would read 0
+    with pytest.raises(ValueError, match="non-negative"):
+        googol_win_mc([-1.0, -2.0, -0.5], Uniform(-3.0, 0.0), single_threshold(1), 1000, 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        googol_win_mc([0.5, -0.5], UNIT, ONES, 10, 1)
+
+
+# Record rows against full rows.  Each example runs both batch functions
+# from the same seed (their streams differ, so the two estimates are
+# independent) and asks every estimate to agree within 4 joint standard
+# errors.  The examples are derandomized, so the test is deterministic.
+TIED = DiscretePrior([0.1, 0.2, 0.3, 0.4])
+REAL_PREDICTED = [
+    (UNIT, UNIT),
+    (UNIT, Uniform(2.0, 3.0)),  # predicted support above the values: cdf 0
+    (UNIT, Uniform(-1.0, 0.5)),  # and partly below them: cdf 1
+    (Exponential(1.0), Uniform(0.0, 3.0)),
+    (TIED, TIED),
+    (DiscretePrior([0.7, 0.2, 0.1]), Uniform(0.0, 4.0)),
+    (DiscretePrior([0.5, 0.0, 0.5]), DiscretePrior([0.2, 0.3, 0.5])),
+    (DiscretePrior([1.0]), UNIT),  # every value ties
+    (TIED, Uniform(5.0, 6.0)),
+]
+MATRIX_TRIALS = 3 * 4096
+
+
+def _batch_report(batch, real, predicted, theta, n, trials, seed):
+    rng = np.random.default_rng(seed)
+    rows = (batch(rng, b, n, real, predicted, theta) for b in engine._batches(trials))
+    return engine._sim_report(rows, trials)
+
+
+def _agree(a, b, se_a, se_b):
+    return abs(a - b) <= 4.0 * math.sqrt(se_a**2 + se_b**2)
+
+
+@pytest.mark.parametrize("real, predicted", REAL_PREDICTED)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 40), step_thresholds(), st.integers(0, 2**32 - 1))
+def test_record_rows_match_full_rows(real, predicted, n, theta, seed):
+    full, rec = (
+        _batch_report(batch, real, predicted, theta, n, MATRIX_TRIALS, seed)
+        for batch in (engine._scan_batch, engine._record_batch)
+    )
+    t = MATRIX_TRIALS
+
+    def rate_se(r):
+        return math.sqrt(r.acceptance_rate * (1.0 - r.acceptance_rate) / t)
+
+    assert _agree(full.maxprob, rec.maxprob, full.maxprob_se, rec.maxprob_se)
+    assert _agree(full.maxexp_ratio, rec.maxexp_ratio, full.maxexp_se, rec.maxexp_se)
+    assert _agree(full.acceptance_rate, rec.acceptance_rate, rate_se(full), rate_se(rec))
+
+
+@pytest.mark.parametrize("n, seed", [(10, 41), (200, 42), (10_000, 43)])
+def test_record_rows_match_win_probability(n, seed):
+    theta = robustify(gm_threshold(n, 300), lambda_pair(1.0 / 3.0))
+    rep = _batch_report(engine._record_batch, UNIT, UNIT, theta, n, 100_000, seed)
+    assert abs(rep.maxprob - win_probability(theta, n)) <= 4.0 * rep.maxprob_se
+
+
+def test_simulate_picks_rows_by_n():
+    # below the cutoff the estimators keep the full-row stream, from it on
+    # they draw record rows
+    theta = dynkin_threshold(E_INV)
+    for n, batch in [
+        (engine.RECORD_ROWS_MIN_N - 1, engine._scan_batch),
+        (engine.RECORD_ROWS_MIN_N, engine._record_batch),
+    ]:
+        assert simulate(UNIT, UNIT, theta, n, 5000, 44) == _batch_report(batch, UNIT, UNIT, theta, n, 5000, 44)
+
+
+class _SpyExponential(Exponential):
+    """Exponential prior that keeps the largest level passed to quantile."""
+
+    top = 0.0
+
+    def quantile(self, q):
+        self.top = max(self.top, float(np.max(q)))
+        return super().quantile(q)
+
+
+def test_record_rows_keep_levels_below_one():
+    # at n = 1e16 the record levels come within an ulp of 1, where
+    # l + (1 - l) r rounds to 1 and Exponential's quantile would be inf
+    real = _SpyExponential(1.0)
+    pos, acc, mx = engine._record_batch(np.random.default_rng(45), 4096, 10**16, real, UNIT, ONES)
+    assert real.top < 1.0
+    assert np.all(np.isfinite(mx)) and np.all(pos == -1)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from stoppred.priors import (
@@ -39,6 +41,25 @@ def test_discrete_cdf_far_outside_the_support():
     assert prior.cdf(-1e30) == 0.0
     assert prior.cdf(-math.inf) == 0.0
     assert prior.cdf(np.array([-math.inf, 1.5, 1e30, math.inf])).tolist() == [0.0, 0.5, 1.0, 1.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).filter(lambda w: sum(w) > 0.0),
+    st.one_of(
+        st.integers(-3, 12).map(float),
+        st.floats(-3.0, 12.0),
+        st.sampled_from([2.0**63, 2.0**64 + 2.0**20, 1e300, -1e300, math.inf, -math.inf]),
+    ),
+)
+def test_discrete_cdf_left_is_the_mass_below(weights, x):
+    pmf = np.asarray(weights) / math.fsum(weights)
+    prior = DiscretePrior(pmf)
+    below = math.fsum(p for level, p in enumerate(pmf, start=1) if level < x)
+    got = prior.cdf_left(x)
+    assert got == pytest.approx(below, abs=1e-12)
+    assert prior.cdf_left(np.array([x, x])).tolist() == [got, got]
+    assert got <= prior.cdf(x)
 
 
 def test_non_finite_parameters_are_rejected():

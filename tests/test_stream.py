@@ -2,9 +2,10 @@
 
 The bounded stochastic tests elsewhere accept any estimate within a few
 standard errors, so they cannot see the estimators draw or consume their
-random numbers differently.  These values were recorded from the engine
-as of the full-row scan and must match bit for bit; an intended change of
-the stream updates them in the same commit.
+random numbers differently.  These values must match bit for bit; an
+intended change of the stream updates them in the same commit.  CASES run
+below engine.RECORD_ROWS_MIN_N, on full rows, and were recorded from the
+full-row scan; RECORD_CASES run on record rows.
 """
 
 import hashlib
@@ -42,17 +43,42 @@ SAMPLES = [
 ]
 
 
+# record rows: continuous, ties at large n, a mispredicted support and an
+# unbounded real prior
+WIDE_TIED = DiscretePrior(np.full(64, 1 / 64))
+RECORD_CASES = [
+    (Uniform(0, 1), Uniform(0, 1), ROB, 200, 5000, 71),
+    (WIDE_TIED, WIDE_TIED, ROB, 200, 5000, 72),
+    (Uniform(0, 1), Uniform(2, 3), ROB, 200, 5000, 73),
+    (Exponential(1.0), Uniform(0, 3), dynkin_threshold(0.3), 10_000, 5000, 74),
+]
+
+RECORD_SIMULATE = [
+    (5000, 0.3392, 0.006695421719354204, 0.7721690781850228, 0.005819965075072935, 0.779),
+    (5000, 0.6882, 0.00655104205451316, 0.9476818002714418, 0.0029358705257182902, 0.9544),
+    (5000, 0.3332, 0.0066659996999699905, 0.4672033155357731, 0.007042279101300644, 0.4682),
+    (5000, 0.3692, 0.006824827616870627, 0.6422004245525753, 0.006222818861826861, 0.6924),
+]
+
+RECORD_SAMPLES = [
+    (3841.5957876327698, 4975.070740546112, "4f1c59d5ffeb0a97", "0453e3a00e682d4e"),
+    (303044.0, 319774.0, "f5ee5c274b68d0e4", "4cf8a08b9d4f6b52"),
+    (2324.361592483061, 4975.05371899504, "bcd467c1a3eca46a", "b0f77da4c1476a44"),
+    (31399.93607881645, 48894.293554372794, "ea4e294d84d86e19", "34c3a4472245c7c8"),
+]
+
+
 def _digest(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("case, expected", zip(CASES, SIMULATE))
+@pytest.mark.parametrize("case, expected", zip(CASES + RECORD_CASES, SIMULATE + RECORD_SIMULATE))
 def test_simulate_stream(case, expected):
     r = engine.simulate(*case)
     assert (r.trials, r.maxprob, r.maxprob_se, r.maxexp_ratio, r.maxexp_se, r.acceptance_rate) == expected
 
 
-@pytest.mark.parametrize("case, expected", zip(CASES, SAMPLES))
+@pytest.mark.parametrize("case, expected", zip(CASES + RECORD_CASES, SAMPLES + RECORD_SAMPLES))
 def test_accepted_value_samples_stream(case, expected):
     accepted, maxima = engine.accepted_value_samples(*case)
     assert (float(accepted.sum()), float(maxima.sum()), _digest(accepted), _digest(maxima)) == expected

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stoppred import thresholds
@@ -101,14 +101,22 @@ def test_robustify_band_shape():
     assert 0.0 < rob.eval(mid) < 1.0
 
 
-def test_robustify_idempotent():
-    rng = np.random.default_rng(42)
-    for _ in range(50):
-        theta = random_step_threshold(rng)
-        pair = lambda_pair(rng.uniform(0.0, E_INV))
-        once = robustify(theta, pair)
-        twice = robustify(once, pair)
-        assert once == twice
+@st.composite
+def step_functions(draw, max_level=1.0):
+    """ThresholdFn with up to seven pieces and arbitrary float breakpoints."""
+    inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=6, unique=True))
+    levels = draw(st.lists(st.floats(0.0, max_level), min_size=len(inner) + 1, max_size=len(inner) + 1))
+    return ThresholdFn(sorted(inner) + [1.0], sorted(levels, reverse=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_functions(max_level=2.0), st.floats(0.0, E_INV))
+@example(ThresholdFn([0.3, 1.0], [0.8, 0.1]), 0.0)
+@example(ThresholdFn([0.3, 1.0], [0.8, 0.1]), E_INV)
+def test_robustify_idempotent(theta, beta):
+    pair = lambda_pair(beta)
+    once = robustify(theta, pair)
+    assert robustify(once, pair) == once
 
 
 def test_eval_inverse_consistency_random():
@@ -204,8 +212,11 @@ def test_gm_asymptotic_error_vanishes_at_rate():
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_csv_roundtrip():
-    theta = ThresholdFn([0.25, 0.7, 1.0], [0.9, 0.4, 0.0])
+@settings(max_examples=150, deadline=None)
+@given(step_functions(max_level=1e300))
+@example(ThresholdFn([0.25, 0.7, 1.0], [0.9, 0.4, 0.0]))
+def test_csv_roundtrip(theta):
+    # %.17g prints every double so that it parses back to the same double
     text = threshold_to_csv(theta)
     assert text.splitlines()[0] == "t,theta"
     back = threshold_from_csv(text)
