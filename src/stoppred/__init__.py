@@ -5,9 +5,14 @@ predicted-prior quantile), the solvers producing their consistency versus
 robustness trade-off curves for the expectation and win-probability
 objectives, a Monte Carlo engine to stress-test them under misprediction,
 and the factor-revealing LP bounding what any rule can achieve.
+
+The LP module ``hardness`` is imported on first access: it loads
+scipy.sparse and scipy's HiGHS binding, which nothing else here needs.
 """
 
-from . import analytics, engine, hardness, maxexp, quadrature, thresholds
+import importlib
+
+from . import analytics, engine, maxexp, quadrature, thresholds
 from .engine import Instance, SimReport, simulate
 from .priors import (
     E_INV,
@@ -52,3 +57,10 @@ __all__ = [
     "robustify",
     "single_threshold",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: the LP stack loads only when something asks for it
+    if name == "hardness":
+        return importlib.import_module(".hardness", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

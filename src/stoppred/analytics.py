@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import exp1
 
+from ._roots import brentq
 from .priors import E_INV, lambda_pair
 from .quadrature import (
     DEFAULT_SPEC,
@@ -54,19 +55,9 @@ def c_series(c, terms=60):
 
 
 @lru_cache(maxsize=1)
-def solve_constant_c(residual_tol=1e-12):
-    """Root of c_series(c) = 1 on (0, 1), about 0.80435, by bisection."""
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r = c_series(mid) - 1.0
-        if abs(r) <= residual_tol:
-            return mid
-        if r < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def solve_constant_c():
+    """Root of c_series(c) = 1 on (0, 1), about 0.80435, by Brent's method."""
+    return brentq(lambda c: c_series(c) - 1.0, 0.0, 1.0, xtol=1e-15, rtol=1e-15)
 
 
 def maxprob_alpha(beta, spec=DEFAULT_SPEC):

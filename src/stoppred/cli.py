@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import analytics, engine, hardness, maxexp, thresholds
+from . import analytics, engine, maxexp, thresholds
 from .priors import E_INV, DiscretePrior, Exponential, Uniform, lambda_pair
 
 EXIT_OK = 0
@@ -47,6 +47,8 @@ def parse_prior(spec):
         if kind == "exp":
             return Exponential(float(arg))
         if kind == "harmonic":
+            from . import hardness  # the LP stack loads only for LP commands
+
             return hardness.harmonic_prior(int(arg))
         if kind == "pmf":
             with open(arg) as fh:
@@ -192,6 +194,8 @@ def cmd_simulate(args):
 
 
 def cmd_hardness_frontier(args):
+    from . import hardness
+
     prior = hardness.harmonic_prior(args.k_support)
     lambdas = parse_grid(args.lambda_grid)
     params = {"n": args.n, "k_support": args.k_support, "lambdas": args.lambda_grid, "solver": args.solver}
@@ -363,7 +367,7 @@ def main(argv=None):
         # the library raises ValueError for arguments outside its domain
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArithmeticError, hardness.LpError) as exc:
+    except ArithmeticError as exc:  # hardness.LpError included
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -135,6 +135,32 @@ class PolytopeModel:
         return replace(self, lam=lam, c=c)
 
 
+def _slots(shape, cols, vals, present):
+    """One family of constraint rows as (columns, values, present) tables.
+
+    Row r of a table holds the r-th row of the family (rows in C order over
+    the grid ``shape``) and slot j its j-th possible entry: cols[j], vals[j]
+    and present[j], each broadcast over the grid.  A slot whose present flag
+    is false (say, the l - 1 term at l = 1) is not an entry of that row.
+    """
+
+    def table(parts):
+        return np.stack([np.broadcast_to(x, shape) for x in parts], axis=-1).reshape(-1, len(parts))
+
+    return table(cols), table(vals), table(present)
+
+
+def _csr_from_slots(families, ncols):
+    """CSR matrix of the families' rows in turn, entries in column order."""
+    indptr = np.zeros(sum(len(m) for _, _, m in families) + 1, dtype=np.int32)
+    np.cumsum(np.concatenate([m.sum(axis=1) for _, _, m in families]), out=indptr[1:])
+    indices = np.concatenate([cols[m] for cols, _, m in families]).astype(np.int32)
+    data = np.concatenate([vals[m] for _, vals, m in families])
+    a = sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, ncols))
+    a.sort_indices()
+    return a
+
+
 def build_polytope(n, K, pmf, lambda_weight=0.5):
     """Assemble the polytope for n steps over support {1..K}.
 
@@ -174,22 +200,23 @@ def build_polytope(n, K, pmf, lambda_weight=0.5):
     for t in range(1, n + 1):
         D[t] = -np.expm1(t * logratio)
     hazard = pmf / F  # f(l)/F(l) = D[1, l]
+    # R[t - 1, l - 1] = ratio_l^t by scalar pow: numpy's vectorized power can
+    # differ from it in the last bit, and the model is pinned bit for bit
+    ratios = ratio.tolist()
+    R = np.array([[r**t for r in ratios] for t in range(1, n + 1)])
 
-    def iy(t, l):  # t in 1..n, l in 1..K
-        return (t - 1) * K + (l - 1)
-
-    def ip(t, l):  # t in 1..n-1
-        return n * K + (t - 1) * K + (l - 1)
-
-    def iv(l):
-        return (2 * n - 1) * K + (l - 1)
-
-    def ib(l):
-        return 2 * n * K + (l - 1)
-
+    # column numbers: y_{t,l} = y[t-1, l-1], p_{t,l} = y[t-1, l-1] + n K,
+    # then v_l, b_l, alpha and beta; seen from y_{t,l}, y_{t-1,l} is y - K
+    # and p_{t-1,l} is y + (n - 1) K; seen from p_{t,l}, p_{t,l-1} is p - 1
+    y = np.arange(n * K).reshape(n, K)
+    p = y[: n - 1] + n * K
+    v = (2 * n - 1) * K + np.arange(K)
+    b = 2 * n * K + np.arange(K)
     ialpha = (2 * n + 1) * K
     ibeta = ialpha + 1
     nvars = ibeta + 1
+    later_level = np.arange(K) > 0  # l > 1
+    later_step = (np.arange(n) > 0)[:, None]  # t > 1
 
     col_names = (
         [f"y_{t}_{l}" for t in range(1, n + 1) for l in range(1, K + 1)]
@@ -199,84 +226,49 @@ def build_polytope(n, K, pmf, lambda_weight=0.5):
         + ["alpha", "beta"]
     )
 
-    eq_rows, eq_cols, eq_vals, b_eq, row_names_eq = [], [], [], [], []
-    ub_rows, ub_cols, ub_vals, b_ub, row_names_ub = [], [], [], [], []
+    # v_l = sum_t [hazard_l p_{t-1,l} + D[t-1,l] ratio_l y_{t-1,l} - D[t,l] y_{t,l}]
+    # gathered per tau: y_{tau,l} carries D[tau,l] (1 - ratio_l) below tau = n
+    vcoef = np.vstack((D[1:n] - D[1:n] * ratio, D[n:]))
+    a_eq = _csr_from_slots(
+        [
+            # pdef: p_{t,l} = ratio_l^t p_{t,l-1} + D[t,l] y_{t,l}
+            _slots((n - 1, K), (p, y[: n - 1], p - 1), (1.0, -D[1:n], -R[: n - 1]), (True, True, later_level)),
+            # vdef, with the t = 1 terms (p_{0,l} = 1) on the right-hand side
+            _slots((K,), (v, *p, *y), (1.0, *[-hazard] * (n - 1), *vcoef), (True,) * 2 * n),
+            # bdef: b_l = ratio_l^n b_{l-1} + v_l
+            _slots((K,), (b, v, b - 1), (1.0, -1.0, -R[n - 1]), (True, True, later_level)),
+        ],
+        nvars,
+    )
+    b_eq = np.concatenate((np.zeros((n - 1) * K), hazard, np.zeros(K)))
+    row_names_eq = (
+        [f"pdef_{t}_{l}" for t in range(1, n) for l in range(1, K + 1)]
+        + [f"vdef_{l}" for l in range(1, K + 1)]
+        + [f"bdef_{l}" for l in range(1, K + 1)]
+    )
 
-    def eq_add(row, cols, vals, rhs, name):
-        eq_rows.extend([row] * len(cols))
-        eq_cols.extend(cols)
-        eq_vals.extend(vals)
-        b_eq.append(rhs)
-        row_names_eq.append(name)
-
-    def ub_add(row, cols, vals, rhs, name):
-        ub_rows.extend([row] * len(cols))
-        ub_cols.extend(cols)
-        ub_vals.extend(vals)
-        b_ub.append(rhs)
-        row_names_ub.append(name)
-
-    r = 0
-    for t in range(1, n):
-        for l in range(1, K + 1):
-            # p_{t,l} = ratio_l^t p_{t,l-1} + D[t,l] y_{t,l}
-            cols = [ip(t, l), iy(t, l)]
-            vals = [1.0, -D[t, l - 1]]
-            if l > 1:
-                cols.append(ip(t, l - 1))
-                vals.append(-(ratio[l - 1] ** t))
-            eq_add(r, cols, vals, 0.0, f"pdef_{t}_{l}")
-            r += 1
-    for l in range(1, K + 1):
-        # v_l = sum_t [hazard_l p_{t-1,l} + D[t-1,l] ratio_l y_{t-1,l} - D[t,l] y_{t,l}]
-        cols, vals = [iv(l)], [1.0]
-        for tau in range(1, n + 1):
-            coef = D[tau, l - 1]
-            if tau <= n - 1:
-                coef -= D[tau, l - 1] * ratio[l - 1]
-                cols.append(ip(tau, l))
-                vals.append(-hazard[l - 1])
-            cols.append(iy(tau, l))
-            vals.append(coef)
-        rhs = hazard[l - 1]  # t = 1 terms with p_{0,l} = 1
-        eq_add(r, cols, vals, rhs, f"vdef_{l}")
-        r += 1
-    for l in range(1, K + 1):
-        # b_l = ratio_l^n b_{l-1} + v_l
-        cols, vals = [ib(l), iv(l)], [1.0, -1.0]
-        if l > 1:
-            cols.append(ib(l - 1))
-            vals.append(-(ratio[l - 1] ** n))
-        eq_add(r, cols, vals, 0.0, f"bdef_{l}")
-        r += 1
-
-    r = 0
-    for t in range(1, n + 1):
-        for l in range(1, K + 1):
-            cols = [iy(t, l)]
-            vals = [-D[t, l - 1]]
-            if t > 1:
-                cols.append(iy(t - 1, l))
-                vals.append(D[t - 1, l - 1] * ratio[l - 1])
-            ub_add(r, cols, vals, 0.0, f"slo_{t}_{l}")
-            r += 1
-    for t in range(1, n + 1):
-        for l in range(1, K + 1):
-            cols = [iy(t, l)]
-            vals = [D[t, l - 1]]
-            rhs = 0.0
-            if t > 1:
-                cols.extend([iy(t - 1, l), ip(t - 1, l)])
-                vals.extend([-D[t - 1, l - 1] * ratio[l - 1], -hazard[l - 1]])
-            else:
-                rhs = hazard[l - 1]  # p_{0,l} = 1
-            ub_add(r, cols, vals, rhs, f"sup_{t}_{l}")
-            r += 1
-    ub_add(r, [ialpha, ib(K)], [1.0, -1.0], 0.0, "cons")
-    r += 1
-    for k in range(1, K + 1):
-        ub_add(r, [ibeta, ib(k)], [1.0, -1.0], 0.0, f"rob_{k}")
-        r += 1
+    a_ub = _csr_from_slots(
+        [
+            # slo: D[t-1,l] ratio_l y_{t-1,l} <= D[t,l] y_{t,l}
+            _slots((n, K), (y, y - K), (-D[1:], D[:n] * ratio), (True, later_step)),
+            # sup: D[t,l] y_{t,l} <= D[t-1,l] ratio_l y_{t-1,l} + hazard_l p_{t-1,l},
+            # with p_{0,l} = 1 on the right-hand side at t = 1
+            _slots(
+                (n, K), (y, y - K, y + (n - 1) * K), (D[1:], -D[:n] * ratio, -hazard), (True, later_step, later_step)
+            ),
+            # cons: alpha <= b_K, and rob: beta <= b_k for every k
+            _slots((1,), (ialpha, b[-1]), (1.0, -1.0), (True, True)),
+            _slots((K,), (ibeta, b), (1.0, -1.0), (True, True)),
+        ],
+        nvars,
+    )
+    b_ub = np.concatenate((np.zeros(n * K), hazard, np.zeros((n - 1) * K), [0.0], np.zeros(K)))
+    row_names_ub = (
+        [f"slo_{t}_{l}" for t in range(1, n + 1) for l in range(1, K + 1)]
+        + [f"sup_{t}_{l}" for t in range(1, n + 1) for l in range(1, K + 1)]
+        + ["cons"]
+        + [f"rob_{k}" for k in range(1, K + 1)]
+    )
 
     c = np.zeros(nvars)
     c[ialpha] = -lam
@@ -287,8 +279,6 @@ def build_polytope(n, K, pmf, lambda_weight=0.5):
         + [(None, None)] * (2 * K)
         + [(None, None), (None, None)]
     )
-    a_eq = sparse.coo_matrix((eq_vals, (eq_rows, eq_cols)), shape=(len(b_eq), nvars)).tocsr()
-    a_ub = sparse.coo_matrix((ub_vals, (ub_rows, ub_cols)), shape=(len(b_ub), nvars)).tocsr()
     return PolytopeModel(
         n=n,
         K=K,
@@ -296,9 +286,9 @@ def build_polytope(n, K, pmf, lambda_weight=0.5):
         lam=lam,
         c=c,
         a_ub=a_ub,
-        b_ub=np.asarray(b_ub),
+        b_ub=b_ub,
         a_eq=a_eq,
-        b_eq=np.asarray(b_eq),
+        b_eq=b_eq,
         bounds=bounds,
         col_names=col_names,
         row_names_ub=row_names_ub,
@@ -315,8 +305,8 @@ class LpSolution:
     y: np.ndarray
 
 
-class LpError(RuntimeError):
-    pass
+class LpError(ArithmeticError):
+    """The LP solve failed or its solution did not check out."""
 
 
 def _highs_instance(model):
@@ -613,25 +603,16 @@ def export_lp_objective(model):
 
 def export_lp_body(model):
     """The constraint and bounds sections of ``export_lp``, shared by every lambda."""
-    lines = ["Subject To"]
     names = model.col_names
-
-    def rows_of(csr):
-        csr = csr.sorted_indices()
-        starts = csr.indptr.tolist()
-        cols = csr.indices.tolist()
-        vals = csr.data.tolist()
-        return [
-            [(names[cols[i]], vals[i]) for i in range(lo, hi)]
-            for lo, hi in zip(starts[:-1], starts[1:])
-        ]
-
-    for name, terms, rhs in zip(model.row_names_ub, rows_of(model.a_ub), model.b_ub):
-        lines.append(f" {name}: {_terms_to_str(terms)} <= {_fmt(rhs)}")
-    for name, terms, rhs in zip(model.row_names_eq, rows_of(model.a_eq), model.b_eq):
-        lines.append(f" {name}: {_terms_to_str(terms)} = {_fmt(rhs)}")
+    lines = ["Subject To"]
+    for row_names, a, rhs, sense in (
+        (model.row_names_ub, model.a_ub, model.b_ub, "<="),
+        (model.row_names_eq, model.a_eq, model.b_eq, "="),
+    ):
+        exprs = _row_exprs(a, names)
+        lines += [f" {name}: {expr} {sense} {_fmt(r)}" for name, expr, r in zip(row_names, exprs, rhs.tolist())]
     lines.append("Bounds")
-    for name, (lo, hi) in zip(model.col_names, model.bounds):
+    for name, (lo, hi) in zip(names, model.bounds):
         if lo is None and hi is None:
             lines.append(f" {name} free")
         elif hi is None:
@@ -640,6 +621,30 @@ def export_lp_body(model):
             lines.append(f" {_fmt(lo)} <= {name} <= {_fmt(hi)}")
     lines.append("End")
     return "\n".join(lines) + "\n"
+
+
+def _row_exprs(csr, names):
+    """Each row's terms as _terms_to_str writes them, for a whole CSR matrix.
+
+    Zero coefficients are dropped; a row's first term has no sign if it is
+    positive, and a row with no term left reads "0 <first column>".
+    """
+    csr = csr.sorted_indices()
+    keep = csr.data != 0.0
+    coefs = csr.data[keep]
+    # kept[r]: the terms kept before row r, so row r's terms are kept[r]:kept[r+1]
+    kept = np.concatenate(([0], np.cumsum(keep)))[csr.indptr]
+    first = np.zeros(len(coefs) + 1, dtype=bool)
+    first[kept] = True
+    signs = np.where(coefs < 0.0, "- ", np.where(first[:-1], "", "+ ")).tolist()
+    terms = [
+        f"{sign}{mag:.17g} {names[col]}"
+        for sign, mag, col in zip(signs, np.abs(coefs).tolist(), csr.indices[keep].tolist())
+    ]
+    return [
+        " ".join(terms[lo:hi]) if hi > lo else "0 " + names[csr.indices[start]]
+        for lo, hi, start in zip(kept[:-1].tolist(), kept[1:].tolist(), csr.indptr[:-1].tolist())
+    ]
 
 
 _TERM_RE = re.compile(r"([+-])?\s*(\d[\d.eE+-]*)?\s*([A-Za-z]\w*)")

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._roots import brentq
 from .priors import E_INV, LambdaPair, lambda_pair
 from .quadrature import log_time_integral, pow_integral
 from .thresholds import ThresholdFn, dynkin_threshold, robustify
@@ -107,13 +107,13 @@ def solve_steps(alpha, beta, m):
     """Run the backward recursion for given (alpha, beta) on an m-step grid.
 
     beta = 1/e degenerates to an empty middle band (the wait-until-1/e
-    rule), feasible exactly when alpha <= 1/e.  beta = 0 is rejected: the
-    initialization integral needs lambda2 < 1.
+    rule), feasible exactly when alpha <= 1/e.  beta = 0 is rejected: it
+    puts lambda2 at 1, and the initialization integral needs lambda2 < 1.
     """
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    if not 0.0 < beta <= E_INV + 1e-15:
-        raise ValueError("beta must lie in (0, 1/e]")
+    if not 0.0 <= beta <= E_INV + 1e-15:
+        raise ValueError("beta must lie in [0, 1/e]")
     if int(m) != m or m < 2:
         raise ValueError("need integer m >= 2")
     pair = lambda_pair(beta)
@@ -127,7 +127,7 @@ def solve_steps(alpha, beta, m):
             feasible=alpha <= E_INV + 1e-12,
         )
     if pair.lambda2 >= 1.0 - 1e-12:
-        raise ValueError("beta too close to 0: lambda2 = 1 degenerates the initialization")
+        raise ValueError(f"beta = {beta:g} puts lambda2 at 1, where the m-step recursion has no start")
     z = np.linspace(pair.lambda1, pair.lambda2, m + 1)
     thetas = np.empty(m)
     tail = 0.0

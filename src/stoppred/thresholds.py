@@ -18,8 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._roots import brentq
 from .priors import lambda_pair
 
 __all__ = [

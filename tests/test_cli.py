@@ -106,10 +106,12 @@ def test_maxexp_curve_peak_point(capsys):
 def test_maxexp_curve_gap_and_failure(capsys):
     code, out, err = run_cli(capsys, "maxexp-curve", "--beta-grid", f"0.0,{E_INV}", "--m", "40")
     assert code == 0  # one point succeeded
-    assert "failed" in err
+    gap = "maxexp-curve: beta=0.0 failed: beta = 0 puts lambda2 at 1, where the m-step recursion has no start\n"
+    assert err == gap
     assert len(out.strip().splitlines()) == 3
     code, _, err = run_cli(capsys, "maxexp-curve", "--beta", "0.0", "--m", "40")
     assert code == 3
+    assert err == gap
 
 
 def test_bad_arguments(capsys):

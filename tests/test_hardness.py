@@ -1,10 +1,12 @@
+import hashlib
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.optimize import linprog
 
 from stoppred import hardness
@@ -300,6 +302,198 @@ def test_export_small_model_is_compact():
     assert text.splitlines()[0] == "Maximize"
     assert text.splitlines()[-1] == "End"
     assert len(text.splitlines()) <= 16
+
+
+def _loop_polytope(n, K, pmf, lam):
+    """Reference assembly of build_polytope, one constraint entry at a time.
+
+    build_polytope must reproduce it bit for bit, explicit and negative
+    zeros included (test_build_polytope_matches_the_loops).
+    """
+    F = np.cumsum(pmf)
+    F[-1] = 1.0
+    Fm1 = np.concatenate(([0.0], F[:-1]))
+    ratio = Fm1 / F  # F(l-1)/F(l), zero at l = 1
+    # D[t, l] = Delta^t(l) / F(l)^t = 1 - ratio^t, with D[0, l] = 1{l = 1}
+    D = np.zeros((n + 1, K))
+    D[0, 0] = 1.0
+    with np.errstate(divide="ignore"):
+        logratio = np.where(ratio > 0.0, np.log(np.maximum(ratio, 1e-300)), -np.inf)
+    for t in range(1, n + 1):
+        D[t] = -np.expm1(t * logratio)
+    hazard = pmf / F  # f(l)/F(l) = D[1, l]
+
+    def iy(t, l):  # t in 1..n, l in 1..K
+        return (t - 1) * K + (l - 1)
+
+    def ip(t, l):  # t in 1..n-1
+        return n * K + (t - 1) * K + (l - 1)
+
+    def iv(l):
+        return (2 * n - 1) * K + (l - 1)
+
+    def ib(l):
+        return 2 * n * K + (l - 1)
+
+    ialpha = (2 * n + 1) * K
+    ibeta = ialpha + 1
+    nvars = ibeta + 1
+
+    col_names = (
+        [f"y_{t}_{l}" for t in range(1, n + 1) for l in range(1, K + 1)]
+        + [f"p_{t}_{l}" for t in range(1, n) for l in range(1, K + 1)]
+        + [f"v_{l}" for l in range(1, K + 1)]
+        + [f"b_{l}" for l in range(1, K + 1)]
+        + ["alpha", "beta"]
+    )
+
+    eq_rows, eq_cols, eq_vals, b_eq, row_names_eq = [], [], [], [], []
+    ub_rows, ub_cols, ub_vals, b_ub, row_names_ub = [], [], [], [], []
+
+    def eq_add(row, cols, vals, rhs, name):
+        eq_rows.extend([row] * len(cols))
+        eq_cols.extend(cols)
+        eq_vals.extend(vals)
+        b_eq.append(rhs)
+        row_names_eq.append(name)
+
+    def ub_add(row, cols, vals, rhs, name):
+        ub_rows.extend([row] * len(cols))
+        ub_cols.extend(cols)
+        ub_vals.extend(vals)
+        b_ub.append(rhs)
+        row_names_ub.append(name)
+
+    r = 0
+    for t in range(1, n):
+        for l in range(1, K + 1):
+            # p_{t,l} = ratio_l^t p_{t,l-1} + D[t,l] y_{t,l}
+            cols = [ip(t, l), iy(t, l)]
+            vals = [1.0, -D[t, l - 1]]
+            if l > 1:
+                cols.append(ip(t, l - 1))
+                vals.append(-(ratio[l - 1] ** t))
+            eq_add(r, cols, vals, 0.0, f"pdef_{t}_{l}")
+            r += 1
+    for l in range(1, K + 1):
+        # v_l = sum_t [hazard_l p_{t-1,l} + D[t-1,l] ratio_l y_{t-1,l} - D[t,l] y_{t,l}]
+        cols, vals = [iv(l)], [1.0]
+        for tau in range(1, n + 1):
+            coef = D[tau, l - 1]
+            if tau <= n - 1:
+                coef -= D[tau, l - 1] * ratio[l - 1]
+                cols.append(ip(tau, l))
+                vals.append(-hazard[l - 1])
+            cols.append(iy(tau, l))
+            vals.append(coef)
+        rhs = hazard[l - 1]  # t = 1 terms with p_{0,l} = 1
+        eq_add(r, cols, vals, rhs, f"vdef_{l}")
+        r += 1
+    for l in range(1, K + 1):
+        # b_l = ratio_l^n b_{l-1} + v_l
+        cols, vals = [ib(l), iv(l)], [1.0, -1.0]
+        if l > 1:
+            cols.append(ib(l - 1))
+            vals.append(-(ratio[l - 1] ** n))
+        eq_add(r, cols, vals, 0.0, f"bdef_{l}")
+        r += 1
+
+    r = 0
+    for t in range(1, n + 1):
+        for l in range(1, K + 1):
+            cols = [iy(t, l)]
+            vals = [-D[t, l - 1]]
+            if t > 1:
+                cols.append(iy(t - 1, l))
+                vals.append(D[t - 1, l - 1] * ratio[l - 1])
+            ub_add(r, cols, vals, 0.0, f"slo_{t}_{l}")
+            r += 1
+    for t in range(1, n + 1):
+        for l in range(1, K + 1):
+            cols = [iy(t, l)]
+            vals = [D[t, l - 1]]
+            rhs = 0.0
+            if t > 1:
+                cols.extend([iy(t - 1, l), ip(t - 1, l)])
+                vals.extend([-D[t - 1, l - 1] * ratio[l - 1], -hazard[l - 1]])
+            else:
+                rhs = hazard[l - 1]  # p_{0,l} = 1
+            ub_add(r, cols, vals, rhs, f"sup_{t}_{l}")
+            r += 1
+    ub_add(r, [ialpha, ib(K)], [1.0, -1.0], 0.0, "cons")
+    r += 1
+    for k in range(1, K + 1):
+        ub_add(r, [ibeta, ib(k)], [1.0, -1.0], 0.0, f"rob_{k}")
+        r += 1
+
+    c = np.zeros(nvars)
+    c[ialpha] = -lam
+    c[ibeta] = -(1.0 - lam)
+    bounds = (
+        [(0.0, 1.0)] * (n * K)
+        + [(0.0, 1.0)] * ((n - 1) * K)
+        + [(None, None)] * (2 * K)
+        + [(None, None), (None, None)]
+    )
+    a_eq = sparse.coo_matrix((eq_vals, (eq_rows, eq_cols)), shape=(len(b_eq), nvars)).tocsr()
+    a_ub = sparse.coo_matrix((ub_vals, (ub_rows, ub_cols)), shape=(len(b_ub), nvars)).tocsr()
+    return hardness.PolytopeModel(
+        n=n,
+        K=K,
+        pmf=pmf,
+        lam=lam,
+        c=c,
+        a_ub=a_ub,
+        b_ub=np.asarray(b_ub),
+        a_eq=a_eq,
+        b_eq=np.asarray(b_eq),
+        bounds=bounds,
+        col_names=col_names,
+        row_names_ub=row_names_ub,
+        row_names_eq=row_names_eq,
+    )
+
+
+def _bits(a):
+    return str(a.dtype), a.shape, a.tobytes()
+
+
+def _assert_same_model(got, want):
+    for name in ("a_ub", "a_eq"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape
+        for part in ("indptr", "indices", "data"):
+            assert _bits(getattr(a, part)) == _bits(getattr(b, part)), (name, part)
+    for name in ("c", "b_ub", "b_eq"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    for name in ("bounds", "col_names", "row_names_ub", "row_names_eq"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+# masses from ordinary down to ones so small that F(l) = F(l-1) in doubles,
+# which makes zero (and negative-zero) coefficients
+_MASS = st.one_of(st.floats(0.05, 1.0), st.floats(1e-300, 1e-12), st.sampled_from([1e-300, 1e-17]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), weights=st.lists(_MASS, min_size=1, max_size=12), lam=st.floats(0.0, 1.0))
+@example(n=15, weights=(1.0 / np.arange(1, 129)).tolist(), lam=0.5)  # the benchmark's frontier model
+def test_build_polytope_matches_the_loops(n, weights, lam):
+    pmf = np.array(weights) / np.sum(weights)
+    K = len(pmf)
+    _assert_same_model(build_polytope(n, K, pmf, lam), _loop_polytope(n, K, pmf, lam))
+
+
+# sha256 of export_lp on an irregular instance, recorded from the loop
+# formatter: a mass of 1e-290 gives all-zero rows ("0 y_1_3") and -0 entries
+EXPORT_GOLDEN = "1d700fbc1daf15f9314b838b1533acf3ae2ee72820f0fb3124db458686e9a2c3"
+
+
+def test_export_golden():
+    w = np.array([5.0, 2.0, 1e-290, 2.5, 0.5, 3.0])
+    text = export_lp(build_polytope(4, 6, w / w.sum(), 0.3))
+    assert " slo_2_3: 0 y_1_3 <= 0\n" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_GOLDEN
 
 
 def test_build_validates():
