@@ -22,14 +22,7 @@ from scipy.special import exp1
 
 from ._roots import brentq
 from .priors import E_INV, lambda_pair
-from .quadrature import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
-    adaptive_simpson,
-    gauss_refine,
-    log_time_integral,
-    pow_integral,
-)
+from .quadrature import adaptive_simpson, gauss_refine, log_time_integral, pow_integral
 
 __all__ = [
     "c_series",
@@ -43,12 +36,14 @@ __all__ = [
     "check_consistency_conditions",
 ]
 
+TOL = 1e-9  # absolute error budget of each quadrature-based evaluator
 
-def c_series(c, terms=60):
-    """sum_{k=1}^{terms} c**k / (k! k); the tail beyond 60 terms is < 1e-60 for c < 1."""
+
+def c_series(c):
+    """sum_{k=1}^{60} c**k / (k! k); the tail beyond 60 terms is < 1e-60 for c < 1."""
     total = 0.0
     term = 1.0
-    for k in range(1, terms + 1):
+    for k in range(1, 61):
         term *= c / k
         total += term / k
     return total
@@ -60,7 +55,7 @@ def solve_constant_c():
     return brentq(lambda c: c_series(c) - 1.0, 0.0, 1.0, xtol=1e-15, rtol=1e-15)
 
 
-def maxprob_alpha(beta, spec=DEFAULT_SPEC):
+def maxprob_alpha(beta):
     """Best achievable win probability at robustness level beta.
 
     alpha(beta) = beta + int_{lambda1}^{lambda2} int_s^1 exp(-c t/(1-s)) / t dt ds
@@ -90,7 +85,7 @@ def maxprob_alpha(beta, spec=DEFAULT_SPEC):
         return float(exp1(kappa * s) - exp1(kappa))
 
     lo = max(lam1, 1e-12)
-    return float(beta) + adaptive_simpson(inner, lo, lam2, spec)
+    return float(beta) + adaptive_simpson(inner, lo, lam2, TOL)
 
 
 def googol_win_formula(qvals, theta):
@@ -152,7 +147,7 @@ def _win_density_times_t(u, v, n):
     return v**n * (np.expm1(n * np.log1p(u * ratio)) + u) / u
 
 
-def win_probability(theta, n, spec=DEFAULT_SPEC):
+def win_probability(theta, n):
     """Win probability of the scan with a correct prior and threshold theta.
 
     Gamma_n(theta) = int_0^1 ( int_s^1 ((1-t+t theta(s))^n - t theta(s)^n)
@@ -169,7 +164,7 @@ def win_probability(theta, n, spec=DEFAULT_SPEC):
         raise ValueError("need integer n >= 1")
     n = int(n)
     pieces = list(theta.pieces())
-    piece_spec = QuadratureSpec(tol=spec.tol / (2.0 * len(pieces)), max_depth=spec.max_depth)
+    piece_tol = TOL / (2.0 * len(pieces))
     total = 0.0
     for a, b, v in pieces:
         if a == 0.0:
@@ -182,9 +177,9 @@ def win_probability(theta, n, spec=DEFAULT_SPEC):
             def f1(t, a=a, v=v):
                 return _win_density(1.0 - t, v, n) * (t - a)
 
-        part = gauss_refine(f1, a, b, piece_spec)
+        part = gauss_refine(f1, a, b, piece_tol)
         if b < 1.0:
-            part += (b - a) * gauss_refine(lambda t, v=v: _win_density(1.0 - t, v, n), b, 1.0, piece_spec)
+            part += (b - a) * gauss_refine(lambda t, v=v: _win_density(1.0 - t, v, n), b, 1.0, piece_tol)
         total += part - v**n * (b - a)
     return total
 
@@ -203,7 +198,7 @@ def _t_pieces(theta, z):
     return out
 
 
-def maxexp_tail_prob(theta, n, y, spec=DEFAULT_SPEC):
+def maxexp_tail_prob(theta, n, y):
     """P[accepted value >= level] for the scan with threshold theta**(1/n).
 
     y is the n-th power of the level's cdf.  Evaluates the triple integral
@@ -227,7 +222,7 @@ def maxexp_tail_prob(theta, n, y, spec=DEFAULT_SPEC):
     lens = np.array([p[1] - p[0] for p in pieces])
     roots = np.array([p[2] for p in pieces]) ** (1.0 / n)
     r0 = y ** (1.0 / n)
-    t_spec = QuadratureSpec(tol=spec.tol * 1e-2, max_depth=spec.max_depth)
+    t_tol = TOL * 1e-2
 
     def j_of_r(r):
         z = theta.generalized_inverse(r**n)
@@ -243,17 +238,17 @@ def maxexp_tail_prob(theta, n, y, spec=DEFAULT_SPEC):
                 full = bpow[:, :p] @ lens[:p] if p else 0.0
                 return (full + (t - starts[p]) * bpow[:, p]) / t
 
-            total += gauss_refine(f, lo, hi, t_spec)
+            total += gauss_refine(f, lo, hi, t_tol)
         return total
 
     kinks = sorted({float(r) for r in roots if r0 < r < 1.0} | {r0, 1.0})
     total = 0.0
     for a, b in zip(kinks[:-1], kinks[1:]):
-        total += adaptive_simpson(j_of_r, a, b, spec)
+        total += adaptive_simpson(j_of_r, a, b, TOL)
     return n * total
 
 
-def consistency_density(theta, q, spec=DEFAULT_SPEC):
+def consistency_density(theta, q):
     """Limit consistency density g(q) for the expectation objective.
 
     g(q) = int_{theta^{-1}(q)}^1 int_0^t (1/t) min{theta(s), q}^t / q ds dt,
@@ -269,7 +264,7 @@ def consistency_density(theta, q, spec=DEFAULT_SPEC):
     starts = np.array([p[0] for p in pieces])
     lens = np.array([p[1] - p[0] for p in pieces])
     caps = np.minimum(np.array([p[2] for p in pieces]), q)
-    t_spec = QuadratureSpec(tol=spec.tol / 4.0, max_depth=spec.max_depth)
+    t_tol = TOL / 4.0
     total = 0.0
     for lo, hi, p in _t_pieces(theta, z):
 
@@ -280,7 +275,7 @@ def consistency_density(theta, q, spec=DEFAULT_SPEC):
             full = powers[:, :p] @ lens[:p] if p else 0.0
             return (full + (t - starts[p]) * powers[:, p]) / (t * q)
 
-        total += gauss_refine(f, lo, hi, t_spec)
+        total += gauss_refine(f, lo, hi, t_tol)
     return total
 
 

@@ -13,7 +13,8 @@ Threshold specs: ``dynkin:lam``, ``gm:n`` (grid size from --m),
 ``--robustify beta`` wraps any of them.
 
 Exit codes: 0 ok, 2 bad arguments (including values the library rejects
-with ValueError), 3 numerical failure, 4 verification failure.
+with ValueError and output paths that cannot be written), 3 numerical
+failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -202,17 +203,21 @@ def cmd_hardness_frontier(args):
     if args.solver == "export":
         if not args.out:
             raise CliError("export mode needs --out DIRECTORY")
-        os.makedirs(args.out, exist_ok=True)
-        model = hardness.build_polytope(args.n, args.k_support, prior, 0.5)
-        # only the objective depends on lambda, so the body is serialized once
-        body = hardness.export_lp_body(model)
+        # every lambda and its file name are checked before anything is built or written
+        objectives = {}
         for lam in lambdas:
+            name = f"frontier_lambda_{lam:.4f}.lp"
+            if name in objectives:
+                raise CliError(f"lambdas {_g(objectives[name][0])} and {_g(lam)} both map to the file {name}")
+            objectives[name] = (lam, hardness.export_lp_objective(lam))
+        # only the objective depends on lambda, so the body is serialized once
+        body = hardness.export_lp_body(hardness.build_polytope(args.n, args.k_support, prior))
+        os.makedirs(args.out, exist_ok=True)
+        for name, (lam, objective) in objectives.items():
             header = manifest_line("hardness-frontier", {**params, "lambda": _g(lam)}).lstrip("# ")
-            objective = hardness.export_lp_objective(model.with_lambda(lam))
-            path = f"{args.out}/frontier_lambda_{lam:.4f}.lp"
-            with open(path, "w") as fh:
+            with open(f"{args.out}/{name}", "w") as fh:
                 fh.write("\\ " + header + "\n" + objective + body)
-        print(f"wrote {len(lambdas)} LP files to {args.out}")
+        print(f"wrote {len(objectives)} LP files to {args.out}")
         return EXIT_OK
     points = hardness.frontier_sweep(args.n, args.k_support, prior, lambdas)
     lines = [manifest_line("hardness-frontier", params), "lambda,lp_star,alpha_star,beta_star"]
@@ -249,8 +254,9 @@ def _verify_quick():
     return checks
 
 
-def _verify_oracle(trials=50_000, seed=20240901):
+def _verify_oracle():
     checks = []
+    trials, seed = 50_000, 20240901
     uni = Uniform(0.0, 1.0)
     pair = lambda_pair(1.0 / 3.0)
     for n in (3, 10):
@@ -363,8 +369,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
-        # the library raises ValueError for arguments outside its domain
+    except (CliError, ValueError, OSError) as exc:
+        # the library raises ValueError for arguments outside its domain, and
+        # an output path that cannot be written raises OSError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:  # hardness.LpError included

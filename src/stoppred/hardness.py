@@ -25,19 +25,21 @@ the power of F that bounds it:
 so row lengths stay O(1) or O(n), every coefficient lies in [0, 1] (the
 unscaled rows carry factors down to F(1)^n, which sink below solver
 tolerances at full scale), and the robustness rows read beta <= b_l.
-Solving goes through the HiGHS binding bundled with scipy, set up as
-linprog(method="highs") sets it up.  A lambda sweep hands HiGHS the
-polytope once: only the alpha and beta costs depend on lambda, so each
-optimal basis stays primal feasible for the next lambda and the simplex
-resumes from it.  export_lp writes the model in the standard LP text
-format for external solvers.
+The polytope does not depend on lambda, so build_polytope takes none: lambda
+enters only as the alpha and beta costs, passed to solve_lp, frontier_sweep
+or export_lp.  Solving goes through the HiGHS binding bundled with scipy,
+set up as linprog(method="highs") sets it up.  A lambda sweep hands HiGHS
+the polytope once and changes only those two costs, so each optimal basis
+stays primal feasible for the next lambda and the simplex resumes from it.
+export_lp writes the model with a lambda's objective in the standard LP
+text format for external solvers.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -66,6 +68,8 @@ __all__ = [
     "random_rule",
 ]
 
+FEASIBILITY_TOL = 1e-7  # largest constraint or bound violation a solution may show
+
 
 def harmonic_prior(K):
     """Discrete prior with pmf proportional to 1/k on {1..K}."""
@@ -83,6 +87,21 @@ def _pmf_array(pmf):
     return arr
 
 
+def _cdf_pair(pmf):
+    """F(l) and F(l-1) for l = 1..K, with F(K) set to exactly 1."""
+    F = np.cumsum(pmf)
+    F[-1] = 1.0
+    return F, np.concatenate(([0.0], F[:-1]))
+
+
+def _check_lambda(lam):
+    """lam as a float, or a ValueError if it lies outside [0, 1]."""
+    lam = float(lam)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lambda weight must lie in [0, 1]")
+    return lam
+
+
 def delta_table(pmf, n):
     """Delta^t(l) for t = 0..n as an (n+1, K) array.
 
@@ -91,9 +110,7 @@ def delta_table(pmf, n):
     """
     pmf = _pmf_array(pmf)
     K = len(pmf)
-    F = np.cumsum(pmf)
-    F[-1] = 1.0
-    Fm1 = np.concatenate(([0.0], F[:-1]))
+    F, Fm1 = _cdf_pair(pmf)
     delta = np.zeros((n + 1, K))
     delta[0, 0] = 1.0
     with np.errstate(divide="ignore"):
@@ -105,13 +122,11 @@ def delta_table(pmf, n):
 
 @dataclass(frozen=True)
 class PolytopeModel:
-    """Assembled LP: maximize lam * alpha + (1 - lam) * beta over the polytope."""
+    """Assembled polytope; the LP maximizes lam * alpha + (1 - lam) * beta over it."""
 
     n: int
     K: int
     pmf: np.ndarray
-    lam: float
-    c: np.ndarray
     a_ub: sparse.csr_matrix
     b_ub: np.ndarray
     a_eq: sparse.csr_matrix
@@ -123,16 +138,7 @@ class PolytopeModel:
 
     @property
     def num_vars(self):
-        return len(self.c)
-
-    def with_lambda(self, lam):
-        lam = float(lam)
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError("lambda weight must lie in [0, 1]")
-        c = np.zeros_like(self.c)
-        c[-2] = -lam
-        c[-1] = -(1.0 - lam)
-        return replace(self, lam=lam, c=c)
+        return len(self.col_names)
 
 
 def _slots(shape, cols, vals, present):
@@ -161,7 +167,7 @@ def _csr_from_slots(families, ncols):
     return a
 
 
-def build_polytope(n, K, pmf, lambda_weight=0.5):
+def build_polytope(n, K, pmf):
     """Assemble the polytope for n steps over support {1..K}.
 
     Columns: the rejection table y_{t,l} (t in [n]) in [0,1], the scaled
@@ -185,12 +191,7 @@ def build_polytope(n, K, pmf, lambda_weight=0.5):
         raise ValueError("pmf length must equal K")
     if np.any(pmf <= 0.0):
         raise ValueError("the truncation family needs strictly positive pmf entries")
-    lam = float(lambda_weight)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda weight must lie in [0, 1]")
-    F = np.cumsum(pmf)
-    F[-1] = 1.0
-    Fm1 = np.concatenate(([0.0], F[:-1]))
+    F, Fm1 = _cdf_pair(pmf)
     ratio = Fm1 / F  # F(l-1)/F(l), zero at l = 1
     # D[t, l] = Delta^t(l) / F(l)^t = 1 - ratio^t, with D[0, l] = 1{l = 1}
     D = np.zeros((n + 1, K))
@@ -270,9 +271,6 @@ def build_polytope(n, K, pmf, lambda_weight=0.5):
         + [f"rob_{k}" for k in range(1, K + 1)]
     )
 
-    c = np.zeros(nvars)
-    c[ialpha] = -lam
-    c[ibeta] = -(1.0 - lam)
     bounds = (
         [(0.0, 1.0)] * (n * K)
         + [(0.0, 1.0)] * ((n - 1) * K)
@@ -283,8 +281,6 @@ def build_polytope(n, K, pmf, lambda_weight=0.5):
         n=n,
         K=K,
         pmf=pmf,
-        lam=lam,
-        c=c,
         a_ub=a_ub,
         b_ub=b_ub,
         a_eq=a_eq,
@@ -310,7 +306,7 @@ class LpError(ArithmeticError):
 
 
 def _highs_instance(model):
-    """A HiGHS instance holding the model, with linprog(method="highs")'s options."""
+    """A HiGHS instance holding the model at zero cost, with linprog(method="highs")'s options."""
     a = sparse.vstack((model.a_ub, model.a_eq)).tocsc()
     lower, upper = np.array(
         [(-np.inf if lo is None else lo, np.inf if hi is None else hi) for lo, hi in model.bounds]
@@ -322,7 +318,7 @@ def _highs_instance(model):
     lp.a_matrix_.start_ = a.indptr
     lp.a_matrix_.index_ = a.indices
     lp.a_matrix_.value_ = a.data
-    lp.col_cost_ = model.c
+    lp.col_cost_ = np.zeros(model.num_vars)
     lp.col_lower_ = lower
     lp.col_upper_ = upper
     lp.row_lower_ = np.concatenate((np.full(len(model.b_ub), -np.inf), model.b_eq))
@@ -334,7 +330,7 @@ def _highs_instance(model):
     return highs, lower, upper
 
 
-def _read_solution(highs, model, lam, lower, upper, feasibility_tol):
+def _read_solution(highs, model, lam, lower, upper):
     """Check the solve HiGHS just finished and read back the envelope point.
 
     alpha and beta are recomputed from the optimal rejection table (they are
@@ -355,7 +351,7 @@ def _read_solution(highs, model, lam, lower, upper, feasibility_tol):
         float(np.max(lower - x, initial=0.0)),
         float(np.max(x - upper, initial=0.0)),
     )
-    if resid > feasibility_tol:
+    if resid > FEASIBILITY_TOL:
         raise LpError(f"solution violates constraints by {resid:.3e}")
     y = x[: model.n * model.K].reshape(model.n, model.K)
     exprs = win_prob_by_truncation(y, model.pmf)
@@ -367,12 +363,12 @@ def _read_solution(highs, model, lam, lower, upper, feasibility_tol):
     return LpSolution(lam=lam, objective=objective, alpha=alpha, beta=beta, y=y)
 
 
-def _solve_lambdas(model, lambdas, feasibility_tol=1e-7):
+def _solve_lambdas(model, lambdas):
     """Solve the model at each lambda in turn on one HiGHS instance.
 
-    Each lambda only changes the alpha and beta costs, so every run after
-    the first resumes from the previous optimal basis.  Returns, in the
-    given order, an LpSolution or the LpError that voids it.
+    Each lambda sets the alpha and beta costs before its run, so every run
+    after the first resumes from the previous optimal basis.  Returns, in
+    the given order, an LpSolution or the LpError that voids it.
     """
     highs, lower, upper = _highs_instance(model)
     cols = np.array([model.num_vars - 2, model.num_vars - 1], dtype=np.int32)
@@ -381,20 +377,20 @@ def _solve_lambdas(model, lambdas, feasibility_tol=1e-7):
         highs.changeColsCost(2, cols, np.array([-lam, -(1.0 - lam)]))
         highs.run()
         try:
-            results.append(_read_solution(highs, model, lam, lower, upper, feasibility_tol))
+            results.append(_read_solution(highs, model, lam, lower, upper))
         except LpError as exc:
             results.append(exc)
     return results
 
 
-def solve_lp(model, feasibility_tol=1e-7):
-    """Solve the assembled LP at its own lambda and read back the envelope point.
+def solve_lp(model, lam):
+    """Maximize lam * alpha + (1 - lam) * beta over the model and read back the envelope point.
 
     alpha and beta are recomputed from the optimal rejection table; a
-    non-optimal status, a residual above feasibility_tol or a mismatched
+    non-optimal status, a residual above FEASIBILITY_TOL or a mismatched
     envelope raises LpError.
     """
-    (result,) = _solve_lambdas(model, [model.lam], feasibility_tol)
+    (result,) = _solve_lambdas(model, [_check_lambda(lam)])
     if isinstance(result, LpError):
         raise result
     return result
@@ -416,12 +412,10 @@ def frontier_sweep(n, K, pmf, lambdas):
     are solved in descending order on one HiGHS instance (the lambda = 1
     cold solve is the cheapest), and the points come back in input order.
     """
-    lambdas = [float(lam) for lam in lambdas]
-    if not all(0.0 <= lam <= 1.0 for lam in lambdas):
-        raise ValueError("lambda weight must lie in [0, 1]")
-    base = build_polytope(n, K, pmf, 0.5)
-    order = sorted(set(lambdas), reverse=True)
-    solved = dict(zip(order, _solve_lambdas(base, order)))
+    lambdas = [_check_lambda(lam) for lam in lambdas]
+    model = build_polytope(n, K, pmf)
+    descending = sorted(set(lambdas), reverse=True)
+    solved = dict(zip(descending, _solve_lambdas(model, descending)))
     points = []
     for lam in lambdas:
         sol = solved[lam]
@@ -457,9 +451,7 @@ def acc_to_rej(acc, pmf):
         raise ValueError("acceptance entries must lie in [0, 1]")
     n, K = acc.shape
     pmf = _pmf_array(pmf)
-    F = np.cumsum(pmf)
-    F[-1] = 1.0
-    Fm1 = np.concatenate(([0.0], F[:-1]))
+    _, Fm1 = _cdf_pair(pmf)
     delta = delta_table(pmf, n)
     rej = np.empty_like(acc)
     prev = np.ones(K)
@@ -478,9 +470,7 @@ def rej_to_acc(rej, pmf):
     rej = np.asarray(rej, dtype=float)
     n, K = rej.shape
     pmf = _pmf_array(pmf)
-    F = np.cumsum(pmf)
-    F[-1] = 1.0
-    Fm1 = np.concatenate(([0.0], F[:-1]))
+    _, Fm1 = _cdf_pair(pmf)
     delta = delta_table(pmf, n)
     acc = np.empty_like(rej)
     prev = np.ones(K)
@@ -502,9 +492,7 @@ def win_prob_by_truncation(rej, pmf):
     rej = np.asarray(rej, dtype=float)
     n, K = rej.shape
     pmf = _pmf_array(pmf)
-    F = np.cumsum(pmf)
-    F[-1] = 1.0
-    Fm1 = np.concatenate(([0.0], F[:-1]))
+    F, Fm1 = _cdf_pair(pmf)
     delta = delta_table(pmf, n)
     rej_ext = np.vstack([np.ones(K), rej])
     V = np.zeros(K)
@@ -525,8 +513,7 @@ def rule_solution_vector(model, rej):
     if rej.shape != (n, K):
         raise ValueError("rejection table shape does not match the model")
     pmf = model.pmf
-    F = np.cumsum(pmf)
-    F[-1] = 1.0
+    F, _ = _cdf_pair(pmf)
     delta = delta_table(pmf, n)
     x = np.zeros(model.num_vars)
     x[: n * K] = rej.ravel()
@@ -591,14 +578,15 @@ def _terms_to_str(pairs):
     return " ".join(parts) if parts else "0 " + pairs[0][0]
 
 
-def export_lp(model):
-    """Serialize the model in the standard LP text format."""
-    return export_lp_objective(model) + export_lp_body(model)
+def export_lp(model, lam):
+    """Serialize the LP at lambda lam in the standard LP text format."""
+    return export_lp_objective(lam) + export_lp_body(model)
 
 
-def export_lp_objective(model):
+def export_lp_objective(lam):
     """The objective section of ``export_lp``, the only part that depends on lambda."""
-    return f"Maximize\n obj: {_terms_to_str([('alpha', model.lam), ('beta', 1.0 - model.lam)])}\n"
+    lam = _check_lambda(lam)
+    return f"Maximize\n obj: {_terms_to_str([('alpha', lam), ('beta', 1.0 - lam)])}\n"
 
 
 def export_lp_body(model):

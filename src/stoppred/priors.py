@@ -266,9 +266,10 @@ class LambdaPair:
         return min(neg_lambda_log(self.lambda1), neg_lambda_log(self.lambda2))
 
 
-def _bisect_root(lo, hi, increasing, beta, iters=100):
-    # sign convention: g(lam) = -lam ln lam - beta crosses zero once per side
-    for _ in range(iters):
+def _bisect_root(lo, hi, increasing, beta):
+    # sign convention: g(lam) = -lam ln lam - beta crosses zero once per side;
+    # 100 halvings leave a bracket under 1e-30 wide
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
         g = neg_lambda_log(mid) - beta
         if (g < 0.0) == increasing:
@@ -278,10 +279,10 @@ def _bisect_root(lo, hi, increasing, beta, iters=100):
     return 0.5 * (lo + hi)
 
 
-def lambda_pair(beta, iters=100):
+def lambda_pair(beta):
     """Solve -lambda ln(lambda) = beta on both sides of the peak at 1/e.
 
-    Bisection with ``iters`` iterations per root; beta must lie in [0, 1/e]
+    Bisection with 100 iterations per root; beta must lie in [0, 1/e]
     (the map peaks at 1/e where both roots coincide).
     """
     beta = float(beta)
@@ -294,6 +295,6 @@ def lambda_pair(beta, iters=100):
         # double root at the peak; bisection would leave the two roots a
         # spurious ~1e-8 apart on the flat top
         return LambdaPair(beta, E_INV, E_INV)
-    lam1 = _bisect_root(0.0, E_INV, True, beta, iters)
-    lam2 = _bisect_root(E_INV, 1.0, False, beta, iters)
+    lam1 = _bisect_root(0.0, E_INV, True, beta)
+    lam2 = _bisect_root(E_INV, 1.0, False, beta)
     return LambdaPair(beta, lam1, lam2)

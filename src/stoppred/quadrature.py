@@ -1,14 +1,20 @@
 """Numerical integration helpers.
 
-Two adaptive schemes with an absolute-tolerance contract, for the integrals
-that have no closed form here:
+Two adaptive schemes for the integrals that have no closed form here.  Each
+takes an absolute tolerance ``tol`` and returns an estimate meant to lie
+within ``tol`` of the integral.  ``tol`` must be positive: zero or NaN
+raises ValueError, since a zero tolerance would send adaptive_simpson to
+its depth cap on every interval.
 
 * ``adaptive_simpson``: classic local bisection with Richardson error
   estimate, for scalar integrands; robust near integrable endpoint
-  singularities because the subdivision concentrates where needed.
-* ``gauss_refine``: fixed-order Gauss-Legendre panels, doubling the panel
-  count until two consecutive estimates agree; the integrand is called on
-  node arrays, so this is the fast path for smooth integrands.
+  singularities because the subdivision concentrates where needed.  Each
+  half interval gets half the tolerance; past ``MAX_DEPTH`` halvings the
+  local estimate is accepted as it stands.
+* ``gauss_refine``: ``ORDER``-point Gauss-Legendre panels, doubling the
+  panel count until two consecutive estimates agree to ``tol``; the
+  integrand is called on node arrays, so this is the fast path for smooth
+  integrands.  At 2**21 nodes it returns its last estimate.
 
 Two integrals of v**t have closed forms and need neither: ``pow_integral``
 (int v**t dt) and ``log_time_integral`` (int v**t / t dt, an exponential
@@ -17,38 +23,29 @@ integral).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import exp1, expi
 
-__all__ = ["QuadratureSpec", "adaptive_simpson", "gauss_refine", "log_time_integral", "pow_integral"]
+__all__ = ["adaptive_simpson", "gauss_refine", "log_time_integral", "pow_integral"]
+
+MAX_DEPTH = 60  # adaptive_simpson's cap on interval halvings
+ORDER = 16  # Gauss-Legendre nodes per panel in gauss_refine
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Absolute tolerance and a cap on subdivision depth."""
-
-    tol: float = 1e-9
-    max_depth: int = 60
-
-    def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
-
-
-DEFAULT_SPEC = QuadratureSpec()
+def _check_tol(tol):
+    if not tol > 0.0:
+        raise ValueError("tolerance must be positive")
 
 
 def _simpson(fa, fm, fb, h):
     return h / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def adaptive_simpson(f, a, b, spec=DEFAULT_SPEC):
-    """Integrate a scalar function over [a, b] to absolute tolerance."""
+def adaptive_simpson(f, a, b, tol):
+    """Integrate a scalar function over [a, b] to absolute tolerance tol."""
+    _check_tol(tol)
     a = float(a)
     b = float(b)
     if a == b:
@@ -57,7 +54,7 @@ def adaptive_simpson(f, a, b, spec=DEFAULT_SPEC):
     m = 0.5 * (a + b)
     fm = f(m)
     whole = _simpson(fa, fm, fb, b - a)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, spec.tol, spec.max_depth)
+    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, MAX_DEPTH)
 
 
 def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
@@ -75,38 +72,37 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
     )
 
 
-@lru_cache(maxsize=32)
-def _leggauss(order):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+@lru_cache(maxsize=1)
+def _leggauss():
+    return np.polynomial.legendre.leggauss(ORDER)
 
 
-def _gauss_panels(f, a, b, panels, order):
-    nodes, weights = _leggauss(order)
+def _gauss_panels(f, a, b, panels):
+    nodes, weights = _leggauss()
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    vals = f(pts).reshape(panels, order)
+    vals = f(pts).reshape(panels, ORDER)
     return float(np.sum((vals @ weights) * half))
 
 
-def gauss_refine(f, a, b, spec=DEFAULT_SPEC, order=16):
-    """Panel-doubling Gauss quadrature; f maps node arrays to value arrays."""
+def gauss_refine(f, a, b, tol):
+    """Panel-doubling Gauss quadrature to absolute tolerance tol; f maps node
+    arrays to value arrays."""
+    _check_tol(tol)
     a = float(a)
     b = float(b)
     if a == b:
         return 0.0
-    prev = _gauss_panels(f, a, b, 1, order)
+    prev = _gauss_panels(f, a, b, 1)
     panels = 2
-    for _ in range(spec.max_depth):
-        cur = _gauss_panels(f, a, b, panels, order)
-        if abs(cur - prev) <= spec.tol:
+    while panels * ORDER <= 1 << 21:
+        cur = _gauss_panels(f, a, b, panels)
+        if abs(cur - prev) <= tol:
             return cur
         prev = cur
         panels *= 2
-        if panels * order > 1 << 21:
-            break
     return prev
 
 

@@ -236,7 +236,7 @@ def test_criterion_11_lp_soundness():
     count = 0
     for n, K in ((2, 2), (3, 3), (4, 3)):
         prior = hardness.harmonic_prior(K)
-        model = hardness.build_polytope(n, K, prior, 0.5)
+        model = hardness.build_polytope(n, K, prior)
         for _ in range(34 if (n, K) != (4, 3) else 32):
             acc = hardness.random_rule(n, K, rng)
             rej = hardness.acc_to_rej(acc, prior)
@@ -249,7 +249,7 @@ def test_criterion_11_lp_soundness():
             count += 1
     # reject-all point at (alpha, beta) = (0, 0)
     prior = hardness.harmonic_prior(3)
-    model = hardness.build_polytope(3, 3, prior, 0.5)
+    model = hardness.build_polytope(3, 3, prior)
     x = hardness.rule_solution_vector(model, np.ones((3, 3)))
     reject_all_ok = (
         np.max(model.a_ub @ x - model.b_ub) <= 1e-12
@@ -285,8 +285,8 @@ def test_criterion_12_lp_frontier():
 def test_criterion_13_full_scale_exclusion():
     t0 = time.time()
     prior = hardness.harmonic_prior(1024)
-    model = hardness.build_polytope(30, 1024, prior, 0.5)
-    sol = hardness.solve_lp(model)
+    model = hardness.build_polytope(30, 1024, prior)
+    sol = hardness.solve_lp(model, 0.5)
     best_of_both = 0.5 * 0.5801 + 0.5 * 0.3679
     ok = best_of_both > sol.objective
     _report(13, "full-scale exclusion", ok, f"LP*(0.5)={sol.objective:.6f} < {best_of_both:.6f}", t0)

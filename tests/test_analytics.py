@@ -18,7 +18,6 @@ from stoppred.analytics import (
 )
 from stoppred.engine import accepted_value_samples, simulate
 from stoppred.priors import E_INV, Uniform, lambda_pair
-from stoppred.quadrature import QuadratureSpec
 from stoppred.thresholds import ThresholdFn, dynkin_threshold, gm_threshold, robustify, single_threshold
 
 from conftest import random_step_threshold
@@ -214,8 +213,24 @@ def test_check_thm11_full_consistency_unattainable():
     assert worst < -0.5  # L(1/e) = 1/e against alpha * theta = 1
 
 
-def test_quadrature_tolerance_self_consistency():
-    theta = robustify(gm_threshold(4, 30), lambda_pair(0.3))
-    a = win_probability(theta, 4, QuadratureSpec(tol=1e-8))
-    b = win_probability(theta, 4, QuadratureSpec(tol=5e-9))
-    assert abs(a - b) <= 1e-8
+def test_win_probability_matches_nested_quad():
+    # Gamma_n from the double integral in win_probability's docstring,
+    # integrated in its own order by scipy's quad.  The inner 1/t
+    # singularity is split off: its part is -ln s, and int_0^1 -ln s ds = 1.
+    # The outer integrand jumps at the threshold's breakpoints.
+    from scipy import integrate
+
+    n = 4
+    theta = robustify(gm_threshold(n, 30), lambda_pair(0.3))
+
+    def smooth_part(t, v):
+        return ((1.0 - t * (1.0 - v)) ** n - t * v**n - (1.0 - t)) / (t * (1.0 - t))
+
+    def outer(s):
+        v = theta.eval(s)
+        inner, _ = integrate.quad(smooth_part, s, 1.0, args=(v,), epsabs=1e-13, epsrel=1e-13)
+        return inner - v**n
+
+    kinks = theta.breakpoints[theta.breakpoints < 1.0]
+    rest, _ = integrate.quad(outer, 0.0, 1.0, points=kinks, limit=200, epsabs=1e-12, epsrel=1e-12)
+    assert abs(win_probability(theta, n) - (1.0 + rest)) <= 1e-8

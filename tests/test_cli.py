@@ -89,11 +89,28 @@ def test_hardness_frontier_export(tmp_path, capsys):
     assert len(files) == 2
     assert files[0].read_text().splitlines()[1] == "Maximize"
     # the shared body makes each file the one-model export at its lambda
-    model = hardness.build_polytope(2, 3, hardness.harmonic_prior(3), 0.5)
+    model = hardness.build_polytope(2, 3, hardness.harmonic_prior(3))
     for path, lam in zip(files, [0.0, 1.0]):
         head, text = path.read_text().split("\n", 1)
         assert head.startswith("\\ command=hardness-frontier") and f" lambda={lam:.17g} " in head
-        assert text == hardness.export_lp(model.with_lambda(lam))
+        assert text == hardness.export_lp(model, lam)
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("0,0.5,1.5", "error: lambda weight must lie in [0, 1]"),
+        ("0,0.00001", "error: lambdas 0 and 1.0000000000000001e-05 both map to the file frontier_lambda_0.0000.lp"),
+    ],
+)
+def test_export_checks_the_grid_before_writing(tmp_path, capsys, grid, message):
+    out = tmp_path / "lps"
+    code, stdout, err = run_cli(capsys, "hardness-frontier", "--n", "2", "--k-support", "3",
+                                "--lambda-grid", grid, "--solver", "export", "--out", str(out))
+    assert code == 2
+    assert err == message + "\n"
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_maxexp_curve_peak_point(capsys):
@@ -164,6 +181,11 @@ SIM = ["simulate", "--real", "uniform:0,1", "--predicted", "uniform:0,1", "--thr
         ["thresholds", "--threshold", "file:{tmp}/nan_break.csv"],
         ["hardness-frontier", "--n", "3", "--k-support", "8", "--lambda-grid", "0:inf:1"],
         ["hardness-frontier", "--n", "3", "--k-support", "8", "--lambda-grid", "0,nan"],
+        # output paths that cannot be written
+        ["maxprob-curve", "--beta", "0.1", "--out", "{tmp}/missing/x.csv"],
+        ["hardness-frontier", "--n", "2", "--k-support", "3", "--lambda-grid", "0,1", "--solver", "export",
+         "--out", "{tmp}/nan_level.csv"],
+        ["maxexp-curve", "--beta", "0.3", "--m", "8", "--dump-thresholds", "{tmp}/nan_level.csv"],
     ],
 )
 def test_library_domain_errors_are_usage_errors(capsys, tmp_path, argv):

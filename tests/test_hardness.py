@@ -68,7 +68,7 @@ def test_random_rules_are_feasible():
     rng = np.random.default_rng(77)
     for n, K in DESK_SIZES:
         prior = harmonic_prior(K)
-        model = build_polytope(n, K, prior, 0.5)
+        model = build_polytope(n, K, prior)
         for _ in range(10):
             rej = acc_to_rej(random_rule(n, K, rng), prior)
             x = rule_solution_vector(model, rej)
@@ -78,7 +78,7 @@ def test_random_rules_are_feasible():
 
 def test_reject_all_point():
     prior = harmonic_prior(3)
-    model = build_polytope(3, 3, prior, 0.5)
+    model = build_polytope(3, 3, prior)
     rej = np.ones((3, 3))
     exprs = win_prob_by_truncation(rej, prior)
     assert np.max(np.abs(exprs)) <= 1e-14  # acceptance terms telescope away
@@ -145,7 +145,7 @@ def test_brute_force_budget_and_single_step():
 
 
 def test_single_value_model_optimum():
-    sol = solve_lp(build_polytope(1, 1, harmonic_prior(1), 0.5))
+    sol = solve_lp(build_polytope(1, 1, harmonic_prior(1)), 0.5)
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
     assert sol.alpha == pytest.approx(1.0, abs=1e-9)
     assert sol.beta == pytest.approx(1.0, abs=1e-9)
@@ -153,9 +153,9 @@ def test_single_value_model_optimum():
 
 
 def test_solve_deterministic():
-    model = build_polytope(4, 8, harmonic_prior(8), 0.7)
-    a = solve_lp(model)
-    b = solve_lp(model)
+    model = build_polytope(4, 8, harmonic_prior(8))
+    a = solve_lp(model, 0.7)
+    b = solve_lp(model, 0.7)
     assert a.objective == b.objective
     assert np.array_equal(a.y, b.y)
 
@@ -166,15 +166,15 @@ LP_GOLDEN = {1.0: 0.617813233, 0.5: 0.519500825, 0.0: 0.509069691}
 
 @pytest.fixture(scope="module")
 def desk_model():
-    return build_polytope(10, 64, harmonic_prior(64), 1.0)
+    return build_polytope(10, 64, harmonic_prior(64))
 
 
 def test_lp_star_bounds_and_goldens(desk_model):
     for lam, expect in LP_GOLDEN.items():
-        sol = solve_lp(desk_model.with_lambda(lam))
+        sol = solve_lp(desk_model, lam)
         assert sol.objective == pytest.approx(expect, abs=1e-6)
-    assert solve_lp(desk_model.with_lambda(1.0)).objective >= 0.5801
-    assert solve_lp(desk_model.with_lambda(0.0)).objective >= 0.3679
+    assert solve_lp(desk_model, 1.0).objective >= 0.5801
+    assert solve_lp(desk_model, 0.0).objective >= 0.3679
 
 
 def test_frontier_convex(desk_model):
@@ -187,10 +187,13 @@ def test_frontier_convex(desk_model):
     assert np.min(second) >= -1e-7
 
 
-def _cold_linprog(model):
+def _cold_linprog(model, lam):
     """Independent reference: scipy's linprog from scratch on the same model."""
+    c = np.zeros(model.num_vars)
+    c[model.col_names.index("alpha")] = -lam
+    c[model.col_names.index("beta")] = -(1.0 - lam)
     return linprog(
-        model.c,
+        c,
         A_ub=model.a_ub,
         b_ub=model.b_ub,
         A_eq=model.a_eq,
@@ -202,11 +205,10 @@ def _cold_linprog(model):
 
 def test_solve_lp_matches_linprog_bitwise(desk_model):
     for lam in (0.0, 0.5, 1.0):
-        model = desk_model.with_lambda(lam)
-        res = _cold_linprog(model)
-        sol = solve_lp(model)
+        res = _cold_linprog(desk_model, lam)
+        sol = solve_lp(desk_model, lam)
         assert sol.objective == -res.fun
-        assert np.array_equal(sol.y, res.x[: model.n * model.K].reshape(model.n, model.K))
+        assert np.array_equal(sol.y, res.x[: desk_model.n * desk_model.K].reshape(desk_model.n, desk_model.K))
 
 
 _SWEEP_LAMBDA = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
@@ -223,10 +225,10 @@ def test_frontier_sweep_matches_cold_solves(n, weights, lambdas):
     pmf = np.array(weights) / np.sum(weights)
     points = frontier_sweep(n, K, pmf, lambdas)
     assert [p.lam for p in points] == lambdas
-    base = build_polytope(n, K, pmf, 0.5)
+    model = build_polytope(n, K, pmf)
     for p in points:
         assert p.error is None
-        assert abs(p.lp_star - -_cold_linprog(base.with_lambda(p.lam)).fun) <= 1e-7
+        assert abs(p.lp_star - -_cold_linprog(model, p.lam).fun) <= 1e-7
         assert abs(p.lam * p.alpha_star + (1.0 - p.lam) * p.beta_star - p.lp_star) <= 1e-6
 
 
@@ -257,9 +259,9 @@ def _unbounded_model(model):
 
 def test_solve_lp_maps_highs_status(desk_model):
     with pytest.raises(LpError, match="^LP reported infeasible; the reject-all table is always feasible"):
-        solve_lp(_infeasible_model(desk_model))
+        solve_lp(_infeasible_model(desk_model), 1.0)
     with pytest.raises(LpError, match="^LP reported unbounded; alpha and beta are bounded by 1"):
-        solve_lp(_unbounded_model(desk_model.with_lambda(1.0)))
+        solve_lp(_unbounded_model(desk_model), 1.0)
 
 
 def test_failed_lambda_leaves_the_sweep_going(desk_model):
@@ -271,8 +273,8 @@ def test_failed_lambda_leaves_the_sweep_going(desk_model):
 
 def test_export_parse_roundtrip():
     for n, K in [(2, 2), (3, 2)]:
-        model = build_polytope(n, K, harmonic_prior(K), 0.3)
-        parsed = parse_lp(export_lp(model))
+        model = build_polytope(n, K, harmonic_prior(K))
+        parsed = parse_lp(export_lp(model, 0.3))
         assert parsed["objective"] == {"alpha": 0.3, "beta": 0.7}
         dense_ub = model.a_ub.toarray()
         dense_eq = model.a_eq.toarray()
@@ -298,13 +300,13 @@ def test_export_parse_roundtrip():
 
 
 def test_export_small_model_is_compact():
-    text = export_lp(build_polytope(1, 1, harmonic_prior(1), 0.5))
+    text = export_lp(build_polytope(1, 1, harmonic_prior(1)), 0.5)
     assert text.splitlines()[0] == "Maximize"
     assert text.splitlines()[-1] == "End"
     assert len(text.splitlines()) <= 16
 
 
-def _loop_polytope(n, K, pmf, lam):
+def _loop_polytope(n, K, pmf):
     """Reference assembly of build_polytope, one constraint entry at a time.
 
     build_polytope must reproduce it bit for bit, explicit and negative
@@ -426,9 +428,6 @@ def _loop_polytope(n, K, pmf, lam):
         ub_add(r, [ibeta, ib(k)], [1.0, -1.0], 0.0, f"rob_{k}")
         r += 1
 
-    c = np.zeros(nvars)
-    c[ialpha] = -lam
-    c[ibeta] = -(1.0 - lam)
     bounds = (
         [(0.0, 1.0)] * (n * K)
         + [(0.0, 1.0)] * ((n - 1) * K)
@@ -441,8 +440,6 @@ def _loop_polytope(n, K, pmf, lam):
         n=n,
         K=K,
         pmf=pmf,
-        lam=lam,
-        c=c,
         a_ub=a_ub,
         b_ub=np.asarray(b_ub),
         a_eq=a_eq,
@@ -464,7 +461,7 @@ def _assert_same_model(got, want):
         assert a.shape == b.shape
         for part in ("indptr", "indices", "data"):
             assert _bits(getattr(a, part)) == _bits(getattr(b, part)), (name, part)
-    for name in ("c", "b_ub", "b_eq"):
+    for name in ("b_ub", "b_eq"):
         assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
     for name in ("bounds", "col_names", "row_names_ub", "row_names_eq"):
         assert getattr(got, name) == getattr(want, name), name
@@ -476,12 +473,12 @@ _MASS = st.one_of(st.floats(0.05, 1.0), st.floats(1e-300, 1e-12), st.sampled_fro
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 6), weights=st.lists(_MASS, min_size=1, max_size=12), lam=st.floats(0.0, 1.0))
-@example(n=15, weights=(1.0 / np.arange(1, 129)).tolist(), lam=0.5)  # the benchmark's frontier model
-def test_build_polytope_matches_the_loops(n, weights, lam):
+@given(n=st.integers(1, 6), weights=st.lists(_MASS, min_size=1, max_size=12))
+@example(n=15, weights=(1.0 / np.arange(1, 129)).tolist())  # the benchmark's frontier model
+def test_build_polytope_matches_the_loops(n, weights):
     pmf = np.array(weights) / np.sum(weights)
     K = len(pmf)
-    _assert_same_model(build_polytope(n, K, pmf, lam), _loop_polytope(n, K, pmf, lam))
+    _assert_same_model(build_polytope(n, K, pmf), _loop_polytope(n, K, pmf))
 
 
 # sha256 of export_lp on an irregular instance, recorded from the loop
@@ -491,18 +488,29 @@ EXPORT_GOLDEN = "1d700fbc1daf15f9314b838b1533acf3ae2ee72820f0fb3124db458686e9a2c
 
 def test_export_golden():
     w = np.array([5.0, 2.0, 1e-290, 2.5, 0.5, 3.0])
-    text = export_lp(build_polytope(4, 6, w / w.sum(), 0.3))
+    text = export_lp(build_polytope(4, 6, w / w.sum()), 0.3)
     assert " slo_2_3: 0 y_1_3 <= 0\n" in text
     assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_GOLDEN
 
 
 def test_build_validates():
     with pytest.raises(ValueError):
-        build_polytope(0, 3, harmonic_prior(3), 0.5)
+        build_polytope(0, 3, harmonic_prior(3))
     with pytest.raises(ValueError):
-        build_polytope(3, 3, harmonic_prior(3), 1.5)
-    with pytest.raises(ValueError):
-        build_polytope(2, 3, np.array([0.5, 0.5, 0.0]), 0.5)
+        build_polytope(2, 3, np.array([0.5, 0.5, 0.0]))
+
+
+def test_lambda_is_checked_where_it_is_used():
+    model = build_polytope(2, 3, harmonic_prior(3))
+    for lam in (1.5, -0.1, float("nan")):
+        for use in (
+            lambda: solve_lp(model, lam),
+            lambda: export_lp(model, lam),
+            lambda: hardness.export_lp_objective(lam),
+            lambda: frontier_sweep(2, 3, harmonic_prior(3), [0.5, lam]),
+        ):
+            with pytest.raises(ValueError, match="lambda weight"):
+                use()
 
 
 @pytest.mark.skipif(not os.environ.get("STOPPRED_RUN_SLOW"), reason="full-scale run; set STOPPRED_RUN_SLOW=1")
@@ -511,6 +519,6 @@ def test_full_scale_excludes_best_of_both():
     # 0.5 cuts below the point combining the best consistency 0.5801 with
     # the best robustness 1/e
     prior = harmonic_prior(1024)
-    model = build_polytope(30, 1024, prior, 0.5)
-    sol = solve_lp(model)
+    model = build_polytope(30, 1024, prior)
+    sol = solve_lp(model, 0.5)
     assert 0.5 * 0.5801 + 0.5 * 0.3679 > sol.objective

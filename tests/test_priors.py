@@ -205,6 +205,15 @@ def test_lambda_pair_residuals_on_grid():
         assert pair.lambda1 <= E_INV + 1e-15 <= pair.lambda2 + 1e-15
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(0.0, E_INV), st.sampled_from([0.0, 5e-324, E_INV - 1e-13, E_INV])))
+def test_lambda_pair_residuals_and_order(beta):
+    pair = lambda_pair(beta)
+    assert pair.lambda1 <= E_INV <= pair.lambda2
+    assert abs(neg_lambda_log(pair.lambda1) - beta) <= 1e-12
+    assert abs(neg_lambda_log(pair.lambda2) - beta) <= 1e-12
+
+
 def test_quantile_table_validation():
     with pytest.raises(ValueError):
         QuantileTable([0.0, 0.5], [1.0, 0.5])
