@@ -5,8 +5,8 @@ a handful of scalars.  Step thresholds make every integral over the time of
 the prefix maximum an exact finite sum; only integrals over the arrival time
 of the accepted value need numerical quadrature.  The recurring integral
 ``int v**t / t dt`` is an exponential integral and is evaluated in closed
-form (see quadrature.log_time_integral), as is the inner integral of
-maxprob_alpha.
+form (see quadrature.log_time_integral), and so is maxprob_alpha's double
+integral.
 
 These evaluators serve double duty: they generate the trade-off curves, and
 they act as oracles against the Monte Carlo engine (and vice versa).
@@ -18,8 +18,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import exp1
 
+from ._expint import e1
 from ._roots import brentq
 from .priors import E_INV, lambda_pair
 from .quadrature import adaptive_simpson, gauss_refine, log_time_integral, pow_integral
@@ -55,6 +55,19 @@ def solve_constant_c():
     return brentq(lambda c: c_series(c) - 1.0, 0.0, 1.0, xtol=1e-15, rtol=1e-15)
 
 
+def _maxprob_antiderivative(s, c):
+    """G(s) with G'(s) = E1(c s/(1-s)) - E1(c/(1-s)) and G(1) = 0.
+
+    G(s) = s E1(c s/(1-s)) - (1-s) e^(-c/(1-s)) + (c + 1 - s - e^c) E1(c/(1-s)),
+    where s E1(c s/(1-s)) is 0 at s = 0 (it vanishes like s ln s).
+    """
+    if s >= 1.0:
+        return 0.0
+    kappa = c / (1.0 - s)
+    head = s * e1(kappa * s) if s > 0.0 else 0.0
+    return head - (1.0 - s) * math.exp(-kappa) + (c + 1.0 - s - math.exp(c)) * e1(kappa)
+
+
 def maxprob_alpha(beta):
     """Best achievable win probability at robustness level beta.
 
@@ -62,9 +75,9 @@ def maxprob_alpha(beta):
 
     with (lambda1, lambda2) the roots for beta and c the series constant.
     The inner integral is E1(kappa s) - E1(kappa) with kappa = c/(1-s)
-    (Abramowitz & Stegun 5.1.1); the outer integrand has a logarithmic
-    singularity at s = 0 (reached only at beta = 0), so the lower limit is
-    clipped to 1e-12, which perturbs the result by under 1e-10.
+    (Abramowitz & Stegun 5.1.1), and the outer one has a closed form too
+    (_maxprob_antiderivative), so alpha = beta + G(lambda2) - G(lambda1):
+    four exponential integrals, with no quadrature and no clipped limit.
     """
     beta = float(beta)
     if not (0.0 <= beta <= E_INV + 1e-15):
@@ -73,19 +86,8 @@ def maxprob_alpha(beta):
         # the roots coincide at the peak, so the band is empty
         return min(beta, E_INV)
     pair = lambda_pair(beta)
-    lam1, lam2 = pair.lambda1, pair.lambda2
-    if lam2 - lam1 <= 1e-15:
-        return beta
     c = solve_constant_c()
-
-    def inner(s):
-        if s >= 1.0 - 1e-15:
-            return 0.0
-        kappa = c / (1.0 - s)
-        return float(exp1(kappa * s) - exp1(kappa))
-
-    lo = max(lam1, 1e-12)
-    return float(beta) + adaptive_simpson(inner, lo, lam2, TOL)
+    return beta + _maxprob_antiderivative(pair.lambda2, c) - _maxprob_antiderivative(pair.lambda1, c)
 
 
 def googol_win_formula(qvals, theta):

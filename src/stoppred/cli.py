@@ -106,6 +106,31 @@ def manifest_line(command, params):
     return "# " + " ".join(parts)
 
 
+def _check_out(path, creates_dir=False):
+    """Fail before any work when the output at path cannot be written.
+
+    A file needs an existing, writable directory.  A directory that the
+    command creates (with its missing parents) needs path to be a directory
+    if it exists, and otherwise its nearest existing parent to be a
+    writable one.
+    """
+    if not path:  # stdout
+        return
+    if creates_dir:
+        where = os.path.abspath(path)
+        while not os.path.exists(where):
+            where = os.path.dirname(where)
+    elif os.path.isdir(path):
+        raise CliError(f"cannot write {path}: it is a directory")
+    else:
+        where = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(where):
+        reason = "is not a directory" if os.path.exists(where) else "does not exist"
+        raise CliError(f"cannot write {path}: {where} {reason}")
+    if not os.access(where, os.W_OK | os.X_OK):
+        raise CliError(f"cannot write {path}: {where} is not writable")
+
+
 def _emit(text, out):
     if out:
         with open(out, "w") as fh:
@@ -119,6 +144,8 @@ def _g(x):
 
 
 def cmd_maxexp_curve(args):
+    _check_out(args.out)
+    _check_out(args.dump_thresholds, creates_dir=True)
     betas = parse_grid(args.beta_grid) if args.beta_grid else [args.beta]
     if any(b is None for b in betas):
         raise CliError("need --beta or --beta-grid")
@@ -143,6 +170,7 @@ def cmd_maxexp_curve(args):
 
 
 def cmd_maxprob_curve(args):
+    _check_out(args.out)
     betas = parse_grid(args.beta_grid) if args.beta_grid else [args.beta]
     if any(b is None for b in betas):
         raise CliError("need --beta or --beta-grid")
@@ -155,6 +183,7 @@ def cmd_maxprob_curve(args):
 
 
 def cmd_thresholds(args):
+    _check_out(args.out)
     theta = parse_threshold(args.threshold, args.m, args.robustify)
     head = manifest_line(
         "thresholds", {"threshold": args.threshold, "m": args.m, "robustify": args.robustify}
@@ -164,6 +193,7 @@ def cmd_thresholds(args):
 
 
 def cmd_simulate(args):
+    _check_out(args.out)
     real = parse_prior(args.real)
     predicted = parse_prior(args.predicted)
     theta = parse_threshold(args.threshold, args.m, args.robustify)
@@ -195,6 +225,7 @@ def cmd_simulate(args):
 
 
 def cmd_hardness_frontier(args):
+    _check_out(args.out, creates_dir=args.solver == "export")
     from . import hardness
 
     prior = hardness.harmonic_prior(args.k_support)

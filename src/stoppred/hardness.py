@@ -367,8 +367,10 @@ def _solve_lambdas(model, lambdas):
     """Solve the model at each lambda in turn on one HiGHS instance.
 
     Each lambda sets the alpha and beta costs before its run, so every run
-    after the first resumes from the previous optimal basis.  Returns, in
-    the given order, an LpSolution or the LpError that voids it.
+    after the first resumes from the previous optimal basis.  That basis is
+    still primal feasible, as only costs changed, so the re-solves use the
+    primal simplex; the first, cold run keeps linprog's default strategy.
+    Returns, in the given order, an LpSolution or the LpError that voids it.
     """
     highs, lower, upper = _highs_instance(model)
     cols = np.array([model.num_vars - 2, model.num_vars - 1], dtype=np.int32)
@@ -376,6 +378,7 @@ def _solve_lambdas(model, lambdas):
     for lam in lambdas:
         highs.changeColsCost(2, cols, np.array([-lam, -(1.0 - lam)]))
         highs.run()
+        highs.setOptionValue("simplex_strategy", 4)  # primal, from the second run on
         try:
             results.append(_read_solution(highs, model, lam, lower, upper))
         except LpError as exc:

@@ -20,6 +20,7 @@ search bisects on alpha for the feasibility boundary theta_1 = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,27 +81,27 @@ def _piece_equation(z1, tail, alpha):
     """
 
     def lhs(log_theta):
-        theta = np.exp(log_theta)
+        theta = math.exp(log_theta)
         return (z1 * log_time_integral(theta, z1, 1.0) + tail) / theta
 
-    hi = np.log(2.0)
+    hi = math.log(2.0)
     while lhs(hi) > alpha:
-        hi += np.log(2.0)
+        hi += math.log(2.0)
         if hi > 40.0:
             raise ArithmeticError("failed to bracket the step equation from above")
-    lo = hi - np.log(2.0)
-    step = np.log(2.0)
+    lo = hi - math.log(2.0)
+    step = math.log(2.0)
     while lhs(lo) < alpha:
         hi = lo
         lo -= step
         step *= 2.0
         if lo < _LOG_FLOOR:
             if lhs(_LOG_FLOOR) < alpha:
-                return float(np.exp(_LOG_FLOOR))
+                return math.exp(_LOG_FLOOR)
             lo = _LOG_FLOOR
             break
     log_theta = brentq(lambda x: lhs(x) - alpha, lo, hi, xtol=1e-15, rtol=1e-15)
-    return float(np.exp(log_theta))
+    return math.exp(log_theta)
 
 
 def solve_steps(alpha, beta, m):
@@ -128,7 +129,7 @@ def solve_steps(alpha, beta, m):
         )
     if pair.lambda2 >= 1.0 - 1e-12:
         raise ValueError(f"beta = {beta:g} puts lambda2 at 1, where the m-step recursion has no start")
-    z = np.linspace(pair.lambda1, pair.lambda2, m + 1)
+    z = np.linspace(pair.lambda1, pair.lambda2, m + 1).tolist()  # Python floats for the scalar loop
     thetas = np.empty(m)
     tail = 0.0
     for i in range(m - 1, -1, -1):

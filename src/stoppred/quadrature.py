@@ -18,15 +18,17 @@ its depth cap on every interval.
 
 Two integrals of v**t have closed forms and need neither: ``pow_integral``
 (int v**t dt) and ``log_time_integral`` (int v**t / t dt, an exponential
-integral).
+integral, evaluated by stoppred._expint).  Both return Python floats.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import exp1, expi
+
+from ._expint import e1, ei
 
 __all__ = ["adaptive_simpson", "gauss_refine", "log_time_integral", "pow_integral"]
 
@@ -125,11 +127,11 @@ def log_time_integral(v, a, b):
     if v == 0.0:
         return 0.0
     if v == 1.0:
-        return float(np.log(b / a))
-    logv = np.log(v)
+        return math.log(b / a)
+    logv = math.log(v)
     if logv < 0.0:
-        return float(exp1(-a * logv) - exp1(-b * logv))
-    return float(expi(b * logv) - expi(a * logv))
+        return e1(-a * logv) - e1(-b * logv)
+    return ei(b * logv) - ei(a * logv)
 
 
 def pow_integral(v, a, b):
@@ -140,5 +142,5 @@ def pow_integral(v, a, b):
         return 0.0
     if v == 1.0:
         return b - a
-    logv = np.log(v)
-    return float(v**a * np.expm1((b - a) * logv) / logv)
+    logv = math.log(v)
+    return float(v**a * math.expm1((b - a) * logv) / logv)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stoppred import analytics
 from stoppred.analytics import (
@@ -18,6 +20,7 @@ from stoppred.analytics import (
 )
 from stoppred.engine import accepted_value_samples, simulate
 from stoppred.priors import E_INV, Uniform, lambda_pair
+from stoppred.quadrature import adaptive_simpson
 from stoppred.thresholds import ThresholdFn, dynkin_threshold, gm_threshold, robustify, single_threshold
 
 from conftest import random_step_threshold
@@ -82,6 +85,48 @@ def test_maxprob_alpha_monotone_nonincreasing():
     betas = np.linspace(0.0, E_INV, 50)
     vals = [maxprob_alpha(b) for b in betas]
     assert np.all(np.diff(vals) <= 1e-7)
+
+
+def _simpson_maxprob_alpha(beta):
+    """maxprob_alpha by its former route, the reference for the closed form:
+    adaptive Simpson over s of E1(kappa s) - E1(kappa), kappa = c/(1-s), with
+    scipy's E1 and the lower limit clipped to 1e-12."""
+    from scipy.special import exp1
+
+    if beta >= E_INV - 1e-13:
+        return min(beta, E_INV)
+    pair = lambda_pair(beta)
+    c = solve_constant_c()
+
+    def inner(s):
+        if s >= 1.0 - 1e-15:
+            return 0.0
+        kappa = c / (1.0 - s)
+        return float(exp1(kappa * s) - exp1(kappa))
+
+    return beta + adaptive_simpson(inner, max(pair.lambda1, 1e-12), pair.lambda2, analytics.TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, E_INV))
+@example(0.0)
+@example(0.3678)
+@example(E_INV - 2e-13)
+def test_maxprob_alpha_closed_form_matches_simpson(beta):
+    assert abs(maxprob_alpha(beta) - _simpson_maxprob_alpha(beta)) <= 2e-10
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.2, 1.0 / 3.0])
+def test_maxprob_alpha_matches_dblquad(beta):
+    from scipy import integrate
+
+    c = solve_constant_c()
+    pair = lambda_pair(beta)
+    band, _ = integrate.dblquad(
+        lambda t, s: math.exp(-c * t / (1.0 - s)) / t, pair.lambda1, pair.lambda2, lambda s: s, 1.0,
+        epsabs=1e-13, epsrel=1e-13,
+    )
+    assert abs(maxprob_alpha(beta) - (beta + band)) <= 1e-11
 
 
 def test_googol_formula_single_value():

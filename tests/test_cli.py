@@ -196,3 +196,32 @@ def test_library_domain_errors_are_usage_errors(capsys, tmp_path, argv):
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, stage",
+    [
+        (["hardness-frontier", "--n", "15", "--k-support", "128", "--out", "{tmp}/missing/x.csv"],
+         "stoppred.hardness.frontier_sweep"),
+        (["hardness-frontier", "--n", "2", "--k-support", "3", "--lambda-grid", "0,1", "--solver", "export",
+          "--out", "{tmp}/file.txt/lps"], "stoppred.hardness.build_polytope"),
+        (SIM + ["--n", "200", "--trials", "200000", "--out", "{tmp}/missing/sim.txt"], "stoppred.engine.simulate"),
+        (["maxexp-curve", "--beta", "0.3", "--m", "8", "--out", "{tmp}/missing/c.csv"],
+         "stoppred.maxexp.tradeoff_curve_maxexp"),
+        (["maxexp-curve", "--beta", "0.3", "--m", "8", "--dump-thresholds", "{tmp}/file.txt"],
+         "stoppred.maxexp.tradeoff_curve_maxexp"),
+        (["maxprob-curve", "--beta", "0.1", "--out", "{tmp}"], "stoppred.analytics.maxprob_alpha"),
+        (["thresholds", "--threshold", "gm:5", "--out", "{tmp}/missing/t.csv"], "stoppred.thresholds.gm_threshold"),
+    ],
+)
+def test_unwritable_output_fails_before_the_work(capsys, monkeypatch, tmp_path, argv, stage):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{stage} ran although the output cannot be written")
+
+    monkeypatch.setattr(stage, never)
+    (tmp_path / "file.txt").write_text("")
+    code, out, err = run_cli(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write ")
+    assert len(err.strip().splitlines()) == 1

@@ -1,4 +1,6 @@
-"""Start-up stays lean: only the LP commands load the LP stack."""
+"""Start-up stays lean: numpy is the one third-party import outside the LP
+commands, and only those load the LP stack (scipy.sparse, scipy.optimize and
+stoppred.hardness)."""
 
 import json
 import os
@@ -22,7 +24,12 @@ def _run(code):
 
 
 def _loaded_after(statements):
-    return _run(f"import json, sys\n{statements}\nprint(json.dumps([m for m in {LP_STACK!r} if m in sys.modules]))")
+    """The scipy modules and the LP stack members loaded after the statements run."""
+    return _run(
+        f"import json, sys\n{statements}\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
+        f" or m in {LP_STACK!r})))"
+    )
 
 
 @pytest.mark.parametrize("statement", ["import stoppred.cli", "import stoppred"])
@@ -42,6 +49,12 @@ def test_non_lp_commands_leave_out_the_lp_stack(tmp_path):
     ]
     run = "\n".join(f"assert stoppred.cli.main({argv!r}) == 0" for argv in commands)
     assert _loaded_after(f"import stoppred.cli\n{run}") == []
+
+
+def test_hardness_frontier_loads_the_lp_stack(tmp_path):
+    argv = ["hardness-frontier", "--n", "2", "--k-support", "3", "--lambda-grid", "0,1", "--out", str(tmp_path / "f")]
+    loaded = _loaded_after(f"import stoppred.cli\nassert stoppred.cli.main({argv!r}) == 0")
+    assert set(LP_STACK) <= set(loaded)
 
 
 def test_hardness_loads_on_first_use():
