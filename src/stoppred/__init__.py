@@ -6,8 +6,9 @@ robustness trade-off curves for the expectation and win-probability
 objectives, a Monte Carlo engine to stress-test them under misprediction,
 and the factor-revealing LP bounding what any rule can achieve.
 
-The LP module ``hardness`` is imported on first access: it loads
-scipy.sparse and scipy's HiGHS binding, which nothing else here needs.
+The LP module ``hardness`` is imported on first access: it loads the
+top-level scipy package and scipy's HiGHS extension, by its file path,
+which nothing else here needs.
 """
 
 import importlib

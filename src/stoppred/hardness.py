@@ -27,8 +27,11 @@ unscaled rows carry factors down to F(1)^n, which sink below solver
 tolerances at full scale), and the robustness rows read beta <= b_l.
 The polytope does not depend on lambda, so build_polytope takes none: lambda
 enters only as the alpha and beta costs, passed to solve_lp, frontier_sweep
-or export_lp.  Solving goes through the HiGHS binding bundled with scipy,
-set up as linprog(method="highs") sets it up.  A lambda sweep hands HiGHS
+or export_lp.  Its matrices are Csr, a compressed-sparse-row triple with
+the matrix-vector product the solution check needs.  Solving goes through
+the HiGHS binding bundled with scipy, loaded from its extension file alone
+(scipy.optimize's package imports are not run) and set up as
+linprog(method="highs") sets it up.  A lambda sweep hands HiGHS
 the polytope once and changes only those two costs, so each optimal basis
 stays primal feasible for the next lambda and the simplex resumes from it.
 export_lp writes the model with a lambda's objective in the standard LP
@@ -37,18 +40,51 @@ text format for external solvers.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize._highspy import _core as _highs  # the HiGHS binding linprog(method="highs") drives
+import scipy
 
 from .priors import DiscretePrior
 
+_HIGHS_MODULE = "scipy.optimize._highspy._core"  # the HiGHS binding linprog(method="highs") drives
+
+
+def _load_highs(directory):
+    """scipy's HiGHS binding, loaded from its extension file in directory.
+
+    Importing it by name would first run scipy.optimize's package imports
+    (linprog and the rest of scipy.optimize, with scipy.sparse), which the
+    LP here never uses.  The module is registered under its own name, so a
+    later ``import scipy.optimize`` reuses it, and an earlier one is reused
+    here.
+    """
+    if _HIGHS_MODULE in sys.modules:
+        return sys.modules[_HIGHS_MODULE]
+    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_MODULE, [os.fspath(directory)])
+    if spec is None:
+        raise ImportError(f"{_HIGHS_MODULE} not found in {directory}; stoppred.hardness needs scipy>=1.15")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_MODULE] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_HIGHS_MODULE]
+        raise
+    return module
+
+
+_highs = _load_highs(os.path.join(scipy.__path__[0], "optimize", "_highspy"))
+
 __all__ = [
     "harmonic_prior",
+    "Csr",
     "PolytopeModel",
     "build_polytope",
     "LpSolution",
@@ -121,15 +157,46 @@ def delta_table(pmf, n):
 
 
 @dataclass(frozen=True)
+class Csr:
+    """A sparse matrix in compressed sparse rows, scipy's csr_matrix layout.
+
+    Row r holds the entries data[indptr[r]:indptr[r+1]] in the columns
+    indices[indptr[r]:indptr[r+1]], in increasing column order, with no
+    column twice.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    @property
+    def nnz(self):
+        return len(self.data)
+
+    def rows(self):
+        """The row number of each entry."""
+        return np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype), np.diff(self.indptr))
+
+    def __matmul__(self, x):
+        return np.bincount(self.rows(), weights=self.data * x[self.indices], minlength=self.shape[0])
+
+    def toarray(self):
+        dense = np.zeros(self.shape)
+        dense[self.rows(), self.indices] = self.data
+        return dense
+
+
+@dataclass(frozen=True)
 class PolytopeModel:
     """Assembled polytope; the LP maximizes lam * alpha + (1 - lam) * beta over it."""
 
     n: int
     K: int
     pmf: np.ndarray
-    a_ub: sparse.csr_matrix
+    a_ub: Csr
     b_ub: np.ndarray
-    a_eq: sparse.csr_matrix
+    a_eq: Csr
     b_eq: np.ndarray
     bounds: list
     col_names: list
@@ -157,14 +224,14 @@ def _slots(shape, cols, vals, present):
 
 
 def _csr_from_slots(families, ncols):
-    """CSR matrix of the families' rows in turn, entries in column order."""
-    indptr = np.zeros(sum(len(m) for _, _, m in families) + 1, dtype=np.int32)
-    np.cumsum(np.concatenate([m.sum(axis=1) for _, _, m in families]), out=indptr[1:])
+    """Csr matrix of the families' rows in turn, entries in column order."""
+    counts = np.concatenate([m.sum(axis=1) for _, _, m in families])
+    indptr = np.zeros(len(counts) + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
     indices = np.concatenate([cols[m] for cols, _, m in families]).astype(np.int32)
     data = np.concatenate([vals[m] for _, vals, m in families])
-    a = sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, ncols))
-    a.sort_indices()
-    return a
+    order = np.lexsort((indices, np.repeat(np.arange(len(counts)), counts)))
+    return Csr(indptr, indices[order], data[order], (len(counts), ncols))
 
 
 def build_polytope(n, K, pmf):
@@ -305,19 +372,35 @@ class LpError(ArithmeticError):
     """The LP solve failed or its solution did not check out."""
 
 
+def _colwise(model):
+    """The start, index and value arrays of a_ub stacked over a_eq, column by column.
+
+    Within a column the entries keep their row order, as in scipy's
+    ``vstack((a_ub, a_eq)).tocsc()``.
+    """
+    a_ub, a_eq = model.a_ub, model.a_eq
+    cols = np.concatenate((a_ub.indices, a_eq.indices))
+    order = np.argsort(cols, kind="stable")
+    start = np.zeros(model.num_vars + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=model.num_vars), out=start[1:])
+    index = np.concatenate((a_ub.rows(), a_eq.rows() + a_ub.shape[0]))[order]
+    value = np.concatenate((a_ub.data, a_eq.data))[order]
+    return start, index, value
+
+
 def _highs_instance(model):
     """A HiGHS instance holding the model at zero cost, with linprog(method="highs")'s options."""
-    a = sparse.vstack((model.a_ub, model.a_eq)).tocsc()
+    start, index, value = _colwise(model)
     lower, upper = np.array(
         [(-np.inf if lo is None else lo, np.inf if hi is None else hi) for lo, hi in model.bounds]
     ).T
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = model.num_vars
-    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
+    lp.num_row_ = lp.a_matrix_.num_row_ = model.a_ub.shape[0] + model.a_eq.shape[0]
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
     lp.col_cost_ = np.zeros(model.num_vars)
     lp.col_lower_ = lower
     lp.col_upper_ = upper
@@ -615,12 +698,11 @@ def export_lp_body(model):
 
 
 def _row_exprs(csr, names):
-    """Each row's terms as _terms_to_str writes them, for a whole CSR matrix.
+    """Each row's terms as _terms_to_str writes them, for a whole Csr matrix.
 
     Zero coefficients are dropped; a row's first term has no sign if it is
     positive, and a row with no term left reads "0 <first column>".
     """
-    csr = csr.sorted_indices()
     keep = csr.data != 0.0
     coefs = csr.data[keep]
     # kept[r]: the terms kept before row r, so row r's terms are kept[r]:kept[r+1]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import sparse
 from scipy.optimize import linprog
 
@@ -98,6 +99,56 @@ def test_acc_rej_conversions():
     assert np.max(np.abs(back - acc)) <= 1e-12
 
 
+_WEIGHT = st.floats(0.05, 1.0)
+
+
+@st.composite
+def _rules(draw, zero_masses):
+    """(acc, pmf): an acceptance table over a generated pmf, which may hold zero masses."""
+    n = draw(st.integers(1, 6), label="n")
+    weight = st.one_of(st.just(0.0), _WEIGHT) if zero_masses else _WEIGHT
+    weights = draw(st.lists(weight, min_size=1, max_size=6).filter(any), label="weights")
+    pmf = np.array(weights) / np.sum(weights)
+    edge = st.sampled_from([0.0, 1.0, 1e-12, 1.0 - 1e-12])
+    acc = draw(arrays(np.float64, (n, len(pmf)), elements=st.one_of(st.floats(0.0, 1.0), edge)), label="acc")
+    return acc, pmf
+
+
+@settings(max_examples=200, deadline=None)
+@given(rule=_rules(zero_masses=True))
+def test_rej_to_acc_inverts_acc_to_rej(rule):
+    acc, pmf = rule
+    rej = acc_to_rej(acc, pmf)
+    back = rej_to_acc(rej, pmf)
+    # arrival mass at (t, l): the rule sees a best-so-far l at step t with its
+    # earlier steps all rejected; the inverse recovers the table only there
+    delta = delta_table(pmf, len(acc))
+    prev = np.vstack((np.ones(len(pmf)), rej[:-1]))
+    arrivals = pmf * np.cumsum(delta[:-1] * prev, axis=1)
+    live = arrivals > 0.0
+    # 1 - acc is (rej delta^t - the mass already rejected) / arrivals; both
+    # terms are below F(l)^t and carry its rounding (delta^t cancels, and rej
+    # is clipped to 1), which comes back divided by the arrivals
+    Ft = np.cumsum(pmf) ** np.arange(1, len(acc) + 1)[:, None]
+    scale = 1.0 + Ft / np.where(live, arrivals, 1.0)
+    assert np.all(np.abs(back - acc)[live] <= 16 * np.finfo(float).eps * scale[live])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rule=_rules(zero_masses=False))
+def test_win_prob_by_truncation_matches_enumeration(rule):
+    acc, pmf = rule
+    n, K = acc.shape
+    exprs = win_prob_by_truncation(acc_to_rej(acc, pmf), pmf)
+    F = np.cumsum(pmf)
+    for k in range(1, K + 1):
+        if k**n > 10**4:
+            break
+        # the expression divides a sum of terms below 1 by F(k)^n
+        tol = 64 * n * K * np.finfo(float).eps / F[k - 1] ** n
+        assert abs(exprs[k - 1] - brute_force_win_prob(acc, pmf, k)) <= tol
+
+
 def _enumerated_rej(acc, pmf):
     """P[no acceptance through t | running max = l] by exhaustive enumeration."""
     n, K = acc.shape
@@ -187,6 +238,10 @@ def test_frontier_convex(desk_model):
     assert np.min(second) >= -1e-7
 
 
+def _scipy_csr(a):
+    return sparse.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+
+
 def _cold_linprog(model, lam):
     """Independent reference: scipy's linprog from scratch on the same model."""
     c = np.zeros(model.num_vars)
@@ -194,9 +249,9 @@ def _cold_linprog(model, lam):
     c[model.col_names.index("beta")] = -(1.0 - lam)
     return linprog(
         c,
-        A_ub=model.a_ub,
+        A_ub=_scipy_csr(model.a_ub),
         b_ub=model.b_ub,
-        A_eq=model.a_eq,
+        A_eq=_scipy_csr(model.a_eq),
         b_eq=model.b_eq,
         bounds=model.bounds,
         method="highs",
@@ -479,6 +534,30 @@ def test_build_polytope_matches_the_loops(n, weights):
     pmf = np.array(weights) / np.sum(weights)
     K = len(pmf)
     _assert_same_model(build_polytope(n, K, pmf), _loop_polytope(n, K, pmf))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), weights=st.lists(_MASS, min_size=1, max_size=12), data=st.data())
+@example(n=15, weights=(1.0 / np.arange(1, 129)).tolist(), data=None)
+def test_csr_matches_scipy(n, weights, data):
+    pmf = np.array(weights) / np.sum(weights)
+    model = build_polytope(n, len(pmf), pmf)
+    for a in (model.a_ub, model.a_eq):
+        ref = _scipy_csr(a)
+        assert a.nnz == ref.nnz
+        assert np.array_equal(a.toarray(), ref.toarray())
+        if data is None:
+            x = np.linspace(-1.0, 1.0, a.shape[1])
+        else:
+            x = data.draw(arrays(np.float64, a.shape[1], elements=st.floats(-1e3, 1e3)), label="x")
+        # the same sums in the same order; a fused multiply-add may round them differently
+        bound = 4 * np.finfo(float).eps * (abs(ref) @ np.abs(x))
+        assert np.all(np.abs(a @ x - ref @ x) <= bound)
+    start, index, value = hardness._colwise(model)
+    want = sparse.vstack((_scipy_csr(model.a_ub), _scipy_csr(model.a_eq))).tocsc()
+    assert _bits(start) == _bits(want.indptr)
+    assert _bits(index) == _bits(want.indices)
+    assert _bits(value) == _bits(want.data)
 
 
 # sha256 of export_lp on an irregular instance, recorded from the loop

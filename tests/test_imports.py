@@ -1,6 +1,7 @@
 """Start-up stays lean: numpy is the one third-party import outside the LP
-commands, and only those load the LP stack (scipy.sparse, scipy.optimize and
-stoppred.hardness)."""
+commands, and only those load the LP stack: stoppred.hardness and scipy's
+HiGHS extension, which hardness loads by its file path, so neither the
+scipy.optimize package nor scipy.sparse loads with it."""
 
 import json
 import os
@@ -11,7 +12,8 @@ import pytest
 
 from stoppred import cli
 
-LP_STACK = ("scipy.optimize", "scipy.sparse", "stoppred.hardness")
+HIGHS = "scipy.optimize._highspy._core"
+LP_STACK = ("stoppred.hardness", HIGHS)
 
 
 def _run(code):
@@ -55,6 +57,45 @@ def test_hardness_frontier_loads_the_lp_stack(tmp_path):
     argv = ["hardness-frontier", "--n", "2", "--k-support", "3", "--lambda-grid", "0,1", "--out", str(tmp_path / "f")]
     loaded = _loaded_after(f"import stoppred.cli\nassert stoppred.cli.main({argv!r}) == 0")
     assert set(LP_STACK) <= set(loaded)
+    # of scipy.optimize only the extension (and the submodules it registers) loads
+    assert [m for m in loaded if m.startswith("scipy.optimize") and not m.startswith(HIGHS)] == []
+    assert [m for m in loaded if m.startswith("scipy.sparse")] == []
+
+
+@pytest.mark.parametrize("optimize_first", [True, False], ids=["optimize-first", "hardness-first"])
+def test_hardness_shares_the_extension_with_scipy_optimize(optimize_first):
+    # either import order leaves one extension module, which linprog and solve_lp both drive
+    first, second = ("import scipy.optimize", "from stoppred import hardness")[:: 1 if optimize_first else -1]
+    result = _run(
+        f"import json, sys\n{first}\n{second}\n"
+        "from scipy.optimize import linprog\n"
+        "res = linprog([-1.0, -1.0], A_ub=[[1.0, 2.0], [3.0, 1.0]], b_ub=[4.0, 6.0], method='highs')\n"
+        "sol = hardness.solve_lp(hardness.build_polytope(10, 64, hardness.harmonic_prior(64)), 0.5)\n"
+        "driven = sys.modules['scipy.optimize._highspy._highs_wrapper']._h  # the module linprog calls\n"
+        f"print(json.dumps([hardness._highs is sys.modules[{HIGHS!r}] is driven, res.status, res.fun, sol.objective]))"
+    )
+    shared, status, fun, objective = result
+    assert shared
+    assert status == 0 and fun == pytest.approx(-2.8, abs=1e-12)  # at (1.6, 1.2)
+    assert objective == pytest.approx(0.519500825, abs=1e-6)  # test_hardness.LP_GOLDEN[0.5]
+
+
+def test_missing_extension_names_the_scipy_floor(tmp_path, monkeypatch):
+    from stoppred import hardness
+
+    monkeypatch.delitem(sys.modules, HIGHS)
+    with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+        hardness._load_highs(tmp_path)
+    assert HIGHS not in sys.modules
+
+
+def test_loaded_extension_is_reused(tmp_path, monkeypatch):
+    # CPython hands back a loaded single-phase extension anyway; the loader must not depend on it
+    from stoppred import hardness
+
+    loaded = object()
+    monkeypatch.setitem(sys.modules, HIGHS, loaded)
+    assert hardness._load_highs(tmp_path) is loaded
 
 
 def test_hardness_loads_on_first_use():
