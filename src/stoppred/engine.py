@@ -153,9 +153,9 @@ def run_sharding(values, k, predicted, theta, rng):
     exceeds the threshold at its virtual time.
     """
     values = np.asarray(values, dtype=float)
+    if not (1 <= k < math.inf and int(k) == k):
+        raise ValueError("need integer k >= 1")
     k = int(k)
-    if k < 1:
-        raise ValueError("need k >= 1")
     n = len(values)
     shard_prior = power_root_cdf(predicted, k)
     t_sorted = np.sort(rng.random(n * k))
@@ -348,7 +348,7 @@ def googol_win_mc(values, predicted, theta, trials, seed):
     values = np.asarray(values, dtype=float)
     if len(np.unique(values)) != len(values):
         raise ValueError("values must be distinct")
-    if np.any(values < 0.0):
+    if not np.all(values >= 0.0):  # written so that a NaN fails it
         raise ValueError("values must be non-negative")
     n = len(values)
     _check_sizes(n, trials)
@@ -391,9 +391,9 @@ def simulate_coupled_sharding(real, predicted, theta, n, k, trials, seed):
     realization makes the sharding value dominate; the return value counts
     violations of that dominance (expected 0).
     """
+    if not (1 <= k < math.inf and int(k) == k):
+        raise ValueError("need integer k >= 1")
     k = int(k)
-    if k < 1:
-        raise ValueError("need k >= 1")
     _check_sizes(n, trials)
     rng = np.random.default_rng(seed)
     shard_real = power_root_cdf(real, k)

@@ -109,7 +109,7 @@ FEASIBILITY_TOL = 1e-7  # largest constraint or bound violation a solution may s
 
 def harmonic_prior(K):
     """Discrete prior with pmf proportional to 1/k on {1..K}."""
-    if int(K) != K or K < 1:
+    if not (1 <= K < math.inf and int(K) == K):
         raise ValueError("need integer K >= 1")
     w = 1.0 / np.arange(1, K + 1)
     return DiscretePrior(w / w.sum())
@@ -249,10 +249,10 @@ def build_polytope(n, K, pmf):
     solver's feasibility tolerance at full scale and silently void the
     robustness rows.
     """
+    if not (1 <= n < math.inf and int(n) == n and 1 <= K < math.inf and int(K) == K):
+        raise ValueError("need integers n >= 1 and K >= 1")
     n = int(n)
     K = int(K)
-    if n < 1 or K < 1:
-        raise ValueError("need n >= 1 and K >= 1")
     pmf = _pmf_array(pmf)
     if len(pmf) != K:
         raise ValueError("pmf length must equal K")
@@ -625,9 +625,9 @@ def brute_force_win_prob(acc, pmf, k):
     """
     acc = np.asarray(acc, dtype=float)
     n, K = acc.shape
-    k = int(k)
-    if k < 1 or k > K:
+    if not (1 <= k <= K and int(k) == k):
         raise ValueError("truncation level outside the support")
+    k = int(k)
     if k**n > 1_000_000:
         raise ValueError("enumeration budget exceeded (k**n > 1e6)")
     pmf = _pmf_array(pmf)

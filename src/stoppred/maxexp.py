@@ -115,7 +115,7 @@ def solve_steps(alpha, beta, m):
         raise ValueError("alpha must be positive")
     if not 0.0 <= beta <= E_INV + 1e-15:
         raise ValueError("beta must lie in [0, 1/e]")
-    if int(m) != m or m < 2:
+    if not (2 <= m < math.inf and int(m) == m):
         raise ValueError("need integer m >= 2")
     pair = lambda_pair(beta)
     if pair.lambda2 - pair.lambda1 <= 1e-12:
@@ -217,7 +217,7 @@ def tradeoff_curve_maxexp(betas, m, tol=1e-4):
     betas = [float(beta) for beta in betas]
     if not all(0.0 <= beta <= E_INV + 1e-15 for beta in betas):
         raise ValueError("beta must lie in [0, 1/e]")
-    if int(m) != m or m < 2:
+    if not (2 <= m < math.inf and int(m) == m):
         raise ValueError("need integer m >= 2")
     if not tol > 0.0:
         raise ValueError("tol must be positive")

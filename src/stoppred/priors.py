@@ -152,7 +152,7 @@ class PowerRoot(Prior):
     def __init__(self, base, k):
         if base.kind != "continuous":
             raise ValueError("power-root priors require a continuous base")
-        if int(k) != k or k < 1:
+        if not (1 <= k < math.inf and int(k) == k):
             raise ValueError("need integer k >= 1")
         self.base = base
         self.k = int(k)
@@ -173,7 +173,7 @@ class PowerRoot(Prior):
 
 def power_root_cdf(prior, k):
     """Prior with cdf equal to ``cdf(prior, .) ** (1/k)``; k = 1 returns prior."""
-    if int(k) != k or k < 1:
+    if not (1 <= k < math.inf and int(k) == k):
         raise ValueError("need integer k >= 1")
     if k == 1:
         return prior
@@ -237,9 +237,9 @@ def truncate_conditional(prior, k):
     """
     if prior.kind != "discrete":
         raise ValueError("truncate_conditional requires a discrete prior")
-    k = int(k)
-    if k < 1 or k > prior.support_size:
+    if not (1 <= k <= prior.support_size and int(k) == k):
         raise ValueError("truncation level outside the support")
+    k = int(k)
     mass = prior._cum[k - 1]
     if mass <= 0.0:
         raise ValueError("no probability mass at or below the truncation level")

@@ -15,6 +15,7 @@ lambda1 and 0 from lambda2 on.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -135,7 +136,7 @@ def dynkin_threshold(lam):
 
 def single_threshold(n):
     """Constant level 1 - 1/n."""
-    if int(n) != n or n < 1:
+    if not (1 <= n < math.inf and int(n) == n):
         raise ValueError("need integer n >= 1")
     return ThresholdFn([1.0], [1.0 - 1.0 / n])
 
@@ -215,7 +216,7 @@ def gm_threshold_value(n, s):
     1 / (1 + y_n / (1-s)), solved once per n.  The level at s = 1 is 0 by
     the boundary condition.
     """
-    if int(n) != n or n < 2:
+    if not (2 <= n < math.inf and int(n) == n):
         raise ValueError("need integer n >= 2")
     s = float(s)
     if not (0.0 <= s <= 1.0):
@@ -232,9 +233,9 @@ def gm_threshold(n, m):
     function upper-bounds the exact threshold and stays strictly positive on
     all of [0, 1]; the exact level reaches 0 only at the single point s = 1.
     """
-    if int(n) != n or n < 2:
+    if not (2 <= n < math.inf and int(n) == n):
         raise ValueError("need integer n >= 2")
-    if int(m) != m or m < 2:
+    if not (2 <= m < math.inf and int(m) == m):
         raise ValueError("need integer m >= 2")
     vals = _gm_levels(n, np.arange(m) / m)
     breaks = np.arange(1, m + 1) / m
@@ -244,7 +245,7 @@ def gm_threshold(n, m):
 
 def gm_asymptotic(s, n, c):
     """Large-n approximation 1 / (1 + c / ((n-1)(1-s))) of the best-choice level."""
-    if int(n) != n or n < 2:
+    if not (2 <= n < math.inf and int(n) == n):
         raise ValueError("need integer n >= 2")
     s = float(s)
     if not (0.0 <= s < 1.0):

@@ -1,5 +1,7 @@
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,13 +15,11 @@ from stoppred.analytics import (
     consistency_density,
     win_probability,
     googol_win_formula,
-    maxexp_tail_prob,
     maxprob_alpha,
     solve_constant_c,
 )
 from stoppred.engine import accepted_value_samples, simulate
 from stoppred.priors import E_INV, Uniform, lambda_pair
-from stoppred.quadrature import adaptive_simpson
 from stoppred.thresholds import ThresholdFn, dynkin_threshold, gm_threshold, robustify, single_threshold
 
 from conftest import random_step_threshold
@@ -86,29 +86,22 @@ def test_maxprob_alpha_monotone_nonincreasing():
     assert np.all(np.diff(vals) <= 1e-7)
 
 
-def _simpson_maxprob_alpha(beta):
+def _mp_maxprob_alpha(beta):
     """maxprob_alpha by its former route, the reference for the closed form:
-    adaptive Simpson over s of E1(kappa s) - E1(kappa), kappa = c/(1-s), with
-    scipy's E1 and the lower limit clipped to 1e-12.
-
-    The tolerance is 1e-11, not the former route's 1e-9: at 1e-9 the
-    reference itself strays by up to 8e-9 (2.6e-10 at beta = 27/512), past the
-    2e-10 the test asserts, while the closed form agrees with mpmath to 1e-16.
-    At 1e-11 the reference's error is the 2.8e-11 of the clipped limit."""
-    from scipy.special import exp1
-
+    quadrature over s of E1(kappa s) - E1(kappa), kappa = c/(1-s), here by
+    mpmath at 30 digits.  Tanh-sinh nodes never reach the ends, so neither
+    the log singularity at s = 0 (beta = 0) nor s = 1 needs a clipped limit."""
     if beta >= E_INV - 1e-13:
         return min(beta, E_INV)
     pair = lambda_pair(beta)
     c = solve_constant_c()
+    with mpmath.workdps(30):
 
-    def inner(s):
-        if s >= 1.0 - 1e-15:
-            return 0.0
-        kappa = c / (1.0 - s)
-        return float(exp1(kappa * s) - exp1(kappa))
+        def inner(s):
+            kappa = c / (1 - s)
+            return mpmath.e1(kappa * s) - mpmath.e1(kappa)
 
-    return beta + adaptive_simpson(inner, max(pair.lambda1, 1e-12), pair.lambda2, 1e-11)
+        return beta + float(mpmath.quad(inner, [pair.lambda1, pair.lambda2]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -118,7 +111,7 @@ def _simpson_maxprob_alpha(beta):
 @example(0.3678)
 @example(E_INV - 2e-13)
 def test_maxprob_alpha_closed_form_matches_simpson(beta):
-    assert abs(maxprob_alpha(beta) - _simpson_maxprob_alpha(beta)) <= 2e-10
+    assert abs(maxprob_alpha(beta) - _mp_maxprob_alpha(beta)) <= 2e-10
 
 
 @pytest.mark.parametrize("beta", [0.01, 0.2, 1.0 / 3.0])
@@ -183,15 +176,179 @@ def test_win_prob_matches_simulation_spot():
     assert abs(rep.maxprob - exact) <= 4.0 * rep.maxprob_se
 
 
+def _win_terms(t, v, n):
+    """(A, D, (A - 1)/t) at t, with A = (1 - t r)^n, r = 1 - v and
+    D = (A - v^n)/(1 - t), each free of cancellation.  A - v^n is
+    -A expm1(-n ln(1 + r(1-t)/v)), exact to rounding as t -> 1, where D
+    tends to n r v^(n-1); A - 1 is expm1(n ln(1 - t r)), exact to rounding
+    as t -> 0, where (A - 1)/t tends to -n r."""
+    t = float(t)
+    r, u = 1.0 - v, 1.0 - t
+    a_pow = (1.0 - t * r) ** n
+    if t == 0.0:
+        a_less_1 = -n * r
+    elif t * r < 1.0:
+        a_less_1 = math.expm1(n * math.log1p(-t * r)) / t
+    else:
+        a_less_1 = -1.0 / t
+    if v == 0.0:
+        d = u ** (n - 1)
+    elif u == 0.0:
+        d = n * r * v ** (n - 1)
+    else:
+        # ln(1 + r u / v), without forming r u / v where it could overflow
+        log_ratio = math.log1p(r * u / v) if r * u <= v else math.log(v + r * u) - math.log(v)
+        d = -a_pow * math.expm1(-n * log_ratio) / u
+    return a_pow, d, a_less_1
+
+
+def _quad_piece(f, lo, hi, v, n):
+    """int_lo^hi f by scipy's quad, split where (1 - t r)^n has fallen by
+    e, e^8 and e^64 since lo.  Below a width of 1e-6 quad's nodes can
+    collapse onto a few doubles, and the 200-point Gauss rule is exact to
+    rounding there: no feature of the integrand is narrower than 1/n."""
+    from scipy import integrate
+
+    if hi - lo < 1e-6:
+        return _gauss(np.vectorize(f), lo, hi)
+    points = [] if v >= 1.0 else [lo + s / (n * (1.0 - v)) for s in (1.0, 8.0, 64.0)]
+    points = [p for p in points if lo < p < hi] or None
+    return integrate.quad(f, lo, hi, points=points, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+
+
+def _quad_win_probability(theta, n):
+    """Gamma_n(theta) piece by piece with scipy's quad, the reference for the
+    exact sums.  A piece (a, b] at level v contributes
+
+        int_a^b w_v(t) (t - a) dt + (b - a) int_b^1 w_v(t) dt - v^n (b - a)
+
+    with w_v = A/t + D as in win_probability's docstring.  Each int A/t dt
+    over (lo, hi] is taken as ln(hi/lo) + int (A - 1)/t dt, so every
+    integrand handed to quad is bounded and varies on no scale finer than
+    1/(n r), however close a breakpoint lies to 0."""
+    total = 0.0
+    for a, b, v in theta.pieces():
+
+        def near(t, a=a, v=v):
+            a_pow, d, a_less_1 = _win_terms(t, v, n)
+            return a_pow + d * (t - a) - (a * a_less_1 if a > 0.0 else 0.0)
+
+        def far(t, v=v):
+            _, d, a_less_1 = _win_terms(t, v, n)
+            return d + a_less_1
+
+        part = _quad_piece(near, a, b, v, n)
+        if a > 0.0:
+            part -= a * (math.log(b) - math.log(a))
+        if b < 1.0:
+            part += (b - a) * (_quad_piece(far, b, 1.0, v, n) - math.log(b))
+        total += part - v**n * (b - a)
+    return total
+
+
+def _mp_win_probability(theta, n):
+    """Gamma_n(theta) from the same piece integrals of w_v, integrated as
+    written by mpmath at 30 digits."""
+    total = mpmath.mpf(0)
+    with mpmath.workdps(30):
+        for a, b, v in theta.pieces():
+            a, b, v = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(v)
+
+            def w(t, v=v):
+                return ((1 - t + t * v) ** n - t * v**n) / (t * (1 - t))
+
+            def nodes(lo, hi, v=v):
+                inner = [] if v >= 1 else [lo + s / (n * (1 - v)) for s in (1, 8, 64)]
+                return [lo, *(p for p in inner if lo < p < hi), hi]
+
+            part = mpmath.quad(lambda t, a=a, w=w: w(t) * (t - a), nodes(a, b))
+            if b < 1:
+                part += (b - a) * mpmath.quad(w, nodes(b, mpmath.mpf(1)))
+            total += part - v**n * (b - a)
+        return float(total)
+
+
+@st.composite
+def step_thresholds(draw):
+    """ThresholdFn with up to twelve pieces and levels in [0, 1]."""
+    inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=11, unique=True))
+    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=len(inner) + 1, max_size=len(inner) + 1))
+    return ThresholdFn(sorted(inner) + [1.0], sorted(levels, reverse=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_thresholds(), st.integers(1, 10**4))
+@example(robustify(gm_threshold(10, 30), lambda_pair(1.0 / 3.0)), 10**4)
+@example(ThresholdFn([0.3, 0.6, 1.0], [1.0, 0.5, 0.0]), 1)
+@example(ThresholdFn([1e-300, 1.0], [0.9, 1e-300]), 3)
+def test_win_probability_matches_quad_reference(theta, n):
+    assert abs(win_probability(theta, n) - _quad_win_probability(theta, n)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 10, 200])
+def test_win_probability_matches_mpmath(n):
+    theta = robustify(gm_threshold(5, 12), lambda_pair(0.25))
+    assert abs(win_probability(theta, n) - _mp_win_probability(theta, n)) <= 1e-13
+
+
+def test_win_probability_large_n_is_fast():
+    theta = robustify(gm_threshold(10, 300), lambda_pair(1.0 / 3.0))
+    assert len(theta.values) == 98
+    start = time.perf_counter()
+    value = win_probability(theta, 10**4)
+    assert time.perf_counter() - start < 0.2
+    assert abs(value - _quad_win_probability(theta, 10**4)) <= 1e-10
+
+
+def _maxexp_tail_prob(theta, n, y):
+    """P[accepted value >= level] for the scan with threshold theta**(1/n).
+
+    y is the n-th power of the level's cdf.  Integrates
+
+        int_y^1 int_{theta^{-1}(q)}^1 int_0^t (1/t)
+            (1 - t + t min{theta(s), q}^(1/n))^(n-1) q^(-(n-1)/n) ds dt dq
+
+    with the substitution q = r^n (which removes the q-power singularity).
+    The s-integral is an exact sum over the threshold pieces; the t- and
+    r-integrals are scipy quad calls, split where the integrands have kinks.
+    """
+    from scipy import integrate
+
+    r0 = y ** (1.0 / n)
+    if r0 >= 1.0:
+        return 0.0
+    pieces = list(theta.pieces())
+    roots = [v ** (1.0 / n) for _, _, v in pieces]
+
+    def j_of_r(r):
+        z = theta.generalized_inverse(r**n)
+        total = 0.0
+        for p, (a, b, _) in enumerate(pieces):
+            lo = max(a, z)
+            if lo >= b:
+                continue
+
+            def f(t, p=p, a=a):
+                full = sum((s1 - s0) * (1.0 - t * (1.0 - min(w, r))) ** (n - 1)
+                           for (s0, s1, _), w in zip(pieces[:p], roots[:p]))
+                return (full + (t - a) * (1.0 - t * (1.0 - min(roots[p], r))) ** (n - 1)) / t
+
+            total += integrate.quad(f, lo, b, epsabs=1e-11)[0]
+        return total
+
+    kinks = sorted({r for r in roots if r0 < r < 1.0})
+    return n * integrate.quad(j_of_r, r0, 1.0, points=kinks or None, epsabs=1e-10)[0]
+
+
 def test_maxexp_tail_edges():
-    assert maxexp_tail_prob(dynkin_threshold(0.4), 5, 1.0) == 0.0
-    assert maxexp_tail_prob(ONES, 5, 0.5) == 0.0
+    assert _maxexp_tail_prob(dynkin_threshold(0.4), 5, 1.0) == 0.0
+    assert _maxexp_tail_prob(ONES, 5, 0.5) == 0.0
 
 
 def test_maxexp_tail_against_engine():
     theta = robustify(single_threshold(5), lambda_pair(0.25))
     n, y = 5, 0.5
-    exact = maxexp_tail_prob(theta, n, y)
+    exact = _maxexp_tail_prob(theta, n, y)
     level = float(UNIT.quantile(y ** (1.0 / n)))
     acc, _ = accepted_value_samples(UNIT, UNIT, theta.powered(1.0 / n), n, 200_000, 321)
     p = float(np.mean(acc >= level))
@@ -215,6 +372,35 @@ def test_consistency_density_monotone_below_terminal_level():
     qs = np.linspace(0.05, cap, 7)
     vals = [consistency_density(theta, q) for q in qs]
     assert np.all(np.diff(vals) <= 1e-9)
+
+
+def _quad_consistency_density(theta, q):
+    """g(q) by its former route: the s-integral summed over the pieces and the
+    t-integral taken by quad over each piece's part of (z, 1]."""
+    from scipy import integrate
+
+    z = theta.generalized_inverse(q)
+    pieces = list(theta.pieces())
+    total = 0.0
+    for p, (a, b, v) in enumerate(pieces):
+        if max(a, z) >= b:
+            continue
+
+        def f(t, p=p, a=a, v=v):
+            full = sum((hi - lo) * min(w, q) ** t for lo, hi, w in pieces[:p])
+            return (full + (t - a) * min(v, q) ** t) / (t * q)
+
+        total += integrate.quad(f, max(a, z), b, epsabs=1e-13, epsrel=1e-12)[0]
+    return total
+
+
+def test_consistency_density_matches_quadrature():
+    rng = np.random.default_rng(29)
+    rules = [robustify(gm_threshold(6, 40), lambda_pair(0.3)), gm_threshold(8, 21)]
+    rules += [random_step_threshold(rng) for _ in range(10)]
+    for theta in rules:
+        for q in (0.05, 0.3, 0.6, 0.9, 1.0):
+            assert abs(consistency_density(theta, q) - _quad_consistency_density(theta, q)) <= 1e-10
 
 
 def test_consistency_density_rejects_zero():

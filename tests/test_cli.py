@@ -1,6 +1,9 @@
+import math
+
+import numpy as np
 import pytest
 
-from stoppred import cli, hardness
+from stoppred import analytics, cli, engine, hardness, maxexp, priors, thresholds
 from stoppred.priors import E_INV
 from stoppred.thresholds import threshold_from_csv
 
@@ -196,6 +199,50 @@ def test_library_domain_errors_are_usage_errors(capsys, tmp_path, argv):
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+DYNKIN = thresholds.dynkin_threshold(0.4)
+UNIT = priors.Uniform(0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # a NaN level or value, which a plain `x < 0` test lets through
+        pytest.param(lambda: analytics.googol_win_formula([0.2, math.nan], DYNKIN), id="googol-formula-nan"),
+        pytest.param(lambda: analytics.googol_win_formula([math.nan], DYNKIN), id="googol-formula-lone-nan"),
+        pytest.param(lambda: engine.googol_win_mc([0.2, math.nan, 0.7], UNIT, DYNKIN, 1000, 1), id="googol-mc-nan"),
+        # +-inf and NaN integer arguments, on which int(x) raises OverflowError
+        pytest.param(lambda: analytics.win_probability(DYNKIN, math.inf), id="win-probability-inf"),
+        pytest.param(lambda: thresholds.gm_threshold(math.inf, 300), id="gm-threshold-n-inf"),
+        pytest.param(lambda: thresholds.gm_threshold(10, math.inf), id="gm-threshold-m-inf"),
+        pytest.param(lambda: thresholds.gm_threshold(-math.inf, 300), id="gm-threshold-n-minus-inf"),
+        pytest.param(lambda: thresholds.gm_threshold(10, math.nan), id="gm-threshold-m-nan"),
+        pytest.param(lambda: thresholds.gm_threshold_value(math.inf, 0.5), id="gm-threshold-value-inf"),
+        pytest.param(lambda: thresholds.gm_asymptotic(0.5, math.inf, 0.8), id="gm-asymptotic-inf"),
+        pytest.param(lambda: thresholds.single_threshold(math.inf), id="single-threshold-inf"),
+        pytest.param(lambda: maxexp.solve_steps(0.6, 0.01, math.inf), id="solve-steps-inf"),
+        pytest.param(lambda: maxexp.tradeoff_curve_maxexp([0.1], math.inf), id="maxexp-curve-inf"),
+        pytest.param(lambda: priors.PowerRoot(UNIT, math.inf), id="power-root-inf"),
+        pytest.param(lambda: priors.power_root_cdf(UNIT, -math.inf), id="power-root-cdf-minus-inf"),
+        pytest.param(lambda: priors.DiscretePrior([0.5, 0.5]).truncate(math.inf), id="truncate-inf"),
+        pytest.param(lambda: priors.DiscretePrior([0.5, 0.5]).truncate(math.nan), id="truncate-nan"),
+        pytest.param(lambda: hardness.harmonic_prior(math.inf), id="harmonic-prior-inf"),
+        pytest.param(lambda: hardness.build_polytope(math.inf, 2, [0.5, 0.5]), id="build-polytope-n-inf"),
+        pytest.param(lambda: hardness.build_polytope(2, math.nan, [0.5, 0.5]), id="build-polytope-k-nan"),
+        pytest.param(lambda: hardness.brute_force_win_prob(np.ones((2, 3)), [0.5, 0.25, 0.25], math.inf),
+                     id="brute-force-inf"),
+        pytest.param(lambda: engine.run_sharding([1.0, 2.0], math.inf, UNIT, DYNKIN, np.random.default_rng(0)),
+                     id="run-sharding-inf"),
+        pytest.param(lambda: engine.simulate_coupled_sharding(UNIT, UNIT, DYNKIN, 3, math.inf, 10, 0),
+                     id="coupled-sharding-inf"),
+    ],
+)
+def test_non_finite_library_arguments_are_value_errors(call):
+    # cli.main reports a ValueError as a usage error (exit 2); an
+    # OverflowError would be an ArithmeticError, a "numerical failure"
+    with pytest.raises(ValueError):
+        call()
 
 
 @pytest.mark.parametrize(

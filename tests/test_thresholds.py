@@ -119,6 +119,27 @@ def test_robustify_idempotent(theta, beta):
     assert robustify(once, pair) == once
 
 
+@settings(max_examples=150, deadline=None)
+@given(step_functions(max_level=2.0), st.floats(0.0, E_INV))
+@example(ThresholdFn([0.3, 1.0], [0.8, 0.1]), 0.0)
+@example(ThresholdFn([0.3, 1.0], [0.8, 0.1]), E_INV)
+@example(ThresholdFn([1.0], [1.5]), 0.2)
+def test_robustify_honours_the_bands(theta, beta):
+    pair = lambda_pair(beta)
+    lam1, lam2 = pair.lambda1, pair.lambda2
+    rob = robustify(theta, pair)
+    # every breakpoint of either function and of the bands, a point on each
+    # side of each, and the midpoints between them
+    marks = np.unique(np.concatenate([theta.breakpoints, rob.breakpoints, [lam1, lam2]]))
+    probes = np.concatenate([marks, np.nextafter(marks, 0.0), np.nextafter(marks, 1.0), 0.5 * (marks[1:] + marks[:-1])])
+    probes = probes[(probes > 0.0) & (probes <= 1.0)]
+    got, kept = rob.eval(probes), theta.clamped().eval(probes)
+    assert np.all(got[probes <= lam1] == 1.0)
+    assert np.all(got[probes > lam2] == 0.0)
+    middle = (probes > lam1) & (probes <= lam2)
+    assert np.array_equal(got[middle], kept[middle])
+
+
 def test_eval_inverse_consistency_random():
     rng = np.random.default_rng(7)
     for _ in range(1000):
