@@ -14,7 +14,7 @@ which nothing else here needs.
 import importlib
 
 from . import analytics, engine, maxexp, quadrature, thresholds
-from .engine import Instance, SimReport, simulate
+from .engine import SimReport, simulate
 from .priors import (
     E_INV,
     DiscretePrior,
@@ -22,11 +22,9 @@ from .priors import (
     LambdaPair,
     PowerRoot,
     Prior,
-    QuantileTable,
     Uniform,
     lambda_pair,
     power_root_cdf,
-    truncate_conditional,
 )
 from .thresholds import ThresholdFn, dynkin_threshold, gm_threshold, robustify, single_threshold
 
@@ -38,7 +36,6 @@ __all__ = [
     "maxexp",
     "quadrature",
     "thresholds",
-    "Instance",
     "SimReport",
     "simulate",
     "E_INV",
@@ -47,11 +44,9 @@ __all__ = [
     "LambdaPair",
     "PowerRoot",
     "Prior",
-    "QuantileTable",
     "Uniform",
     "lambda_pair",
     "power_root_cdf",
-    "truncate_conditional",
     "ThresholdFn",
     "dynkin_threshold",
     "gm_threshold",

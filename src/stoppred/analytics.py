@@ -7,7 +7,10 @@ Over the arrival time the integrands are polynomials in t, some divided by
 t (win_probability), or v**t and v**t / t, whose integrals have closed forms
 (quadrature.pow_integral and the exponential integral of
 quadrature.log_time_integral).  maxprob_alpha's double integral is a closed
-form in E1 as well, so nothing here calls a quadrature rule.
+form in E1 as well, so nothing here calls a quadrature rule.  The
+expectation objective's consistency integral L(z) has one evaluator,
+_LTable, which sums the same per-piece term (quadrature._piece_tail) as
+the maxexp recursion.
 
 These evaluators serve double duty: they generate the trade-off curves, and
 they act as oracles against the Monte Carlo engine (and vice versa).
@@ -23,7 +26,7 @@ import numpy as np
 from ._expint import e1
 from ._roots import brentq
 from .priors import E_INV, lambda_pair
-from .quadrature import log_time_integral, pow_integral
+from .quadrature import _piece_tail, log_time_integral, pow_integral
 
 __all__ = [
     "c_series",
@@ -31,8 +34,6 @@ __all__ = [
     "maxprob_alpha",
     "googol_win_formula",
     "win_probability",
-    "consistency_density",
-    "consistency_integral",
     "check_consistency_conditions",
 ]
 
@@ -187,87 +188,25 @@ def win_probability(theta, n):
     return float(total.sum())
 
 
-def consistency_density(theta, q):
-    """Limit consistency density g(q) for the expectation objective.
-
-    g(q) = int_{theta^{-1}(q)}^1 int_0^t (1/t) min{theta(s), q}^t / q ds dt,
-    defined for q in (0, 1].  With c = min(v, q) on a piece (a, b], the
-    piece holding t contributes int (t - a) c^t / t dt over its part of
-    (z, 1], z = theta^{-1}(q), and the piece wholly before t contributes
-    (b - a) int c^t / t dt over t in (max(b, z), 1]; both reduce to
-    pow_integral and log_time_integral, as in consistency_integral.
-    """
-    q = float(q)
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must lie in (0, 1]")
-    z = theta.generalized_inverse(q)
-    if z >= 1.0:
-        return 0.0
-    total = 0.0
-    for a, b, v in theta.pieces():
-        c = min(v, q)
-        lo = max(a, z)
-        if lo < b:
-            total += pow_integral(c, lo, b)
-            if a > 0.0:
-                total -= a * log_time_integral(c, lo, b)
-        tail = max(b, z)
-        if tail < 1.0:
-            total += (b - a) * log_time_integral(c, tail, 1.0)
-    return total / q
-
-
-def consistency_integral(theta, z):
+class _LTable:
     """L(z) = int_z^1 int_0^t (1/t) theta(max{s, z})^t ds dt for a step theta.
 
     Exchanging the integration order gives
 
         L(z) = z int_z^1 theta(z)^t / t dt
              + sum over pieces (a, b] with level v inside (z, 1] of
-               [ int_a^b (t - a) v^t / t dt + (b - a) int_b^1 v^t / t dt ]
+               [ int_a^b (t - a) v^t / t dt + (b - a) int_b^1 v^t / t dt ],
 
-    where the piece integrals reduce to pow_integral and log_time_integral.
+    where the piece holding z counts from z on.  The bracket of each whole
+    piece is quadrature._piece_tail, cached with its suffix sums, so that a
+    query costs two closed-form integrals.
     """
-    z = float(z)
-    if not (0.0 <= z <= 1.0):
-        raise ValueError("z must lie in [0, 1]")
-    total = 0.0
-    if z < 1.0:
-        v0 = theta.eval(z)
-        if z > 0.0 and v0 > 0.0:
-            total += z * log_time_integral(v0, z, 1.0)
-        for a, b, v in theta.pieces():
-            lo = max(a, z)
-            if lo >= b or v == 0.0:
-                continue
-            total += pow_integral(v, lo, b) - lo * log_time_integral(v, lo, b)
-            if b < 1.0:
-                total += (b - lo) * log_time_integral(v, b, 1.0)
-    return total
-
-
-class _LTable:
-    """Per-piece caches so that L(z) costs two closed-form integrals per query."""
 
     def __init__(self, theta):
-        self.theta = theta
         self.breaks = theta.breakpoints
         self.vals = theta.values
-        tails = []  # A_i + len_i * B_i per piece, and B_i itself
-        self.b_tail = []
-        for a, b, v in theta.pieces():
-            if v == 0.0:
-                tails.append(0.0)
-                self.b_tail.append(0.0)
-                continue
-            b_i = log_time_integral(v, b, 1.0) if b < 1.0 else 0.0
-            a_i = pow_integral(v, a, b)
-            if a > 0.0:
-                a_i -= a * log_time_integral(v, a, b)
-            tails.append(a_i + (b - a) * b_i)
-            self.b_tail.append(b_i)
-        suffix = np.concatenate([np.cumsum(tails[::-1])[::-1], [0.0]])
-        self.suffix = suffix
+        tails, self.b_tail = zip(*(_piece_tail(v, a, b) for a, b, v in theta.pieces()))
+        self.suffix = np.concatenate([np.cumsum(tails[::-1])[::-1], [0.0]])
 
     def value(self, z):
         z = float(z)
@@ -292,7 +231,7 @@ def check_consistency_conditions(theta, alpha, pair, grid=1000):
     """Worst slack of the consistency conditions over a z-grid.
 
     Returns min over z in [lambda1, lambda2] of L(z) - alpha * theta(z),
-    with L(z) = consistency_integral(theta, z); a non-negative result
+    with L(z) the consistency integral of _LTable; a non-negative result
     verifies the sufficient conditions at level alpha for the robustified
     threshold.
     """

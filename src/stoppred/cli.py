@@ -326,11 +326,11 @@ def _verify_golden():
     return checks
 
 
+SUITES = {"quick": _verify_quick, "oracle": _verify_oracle, "paper": _verify_golden}
+
+
 def cmd_verify(args):
-    suites = {"quick": _verify_quick, "oracle": _verify_oracle, "paper": _verify_golden}
-    if args.suite not in suites:
-        raise CliError(f"unknown suite {args.suite!r}; choose from {sorted(suites)}")
-    checks = suites[args.suite]()
+    checks = SUITES[args.suite]()
     failed = 0
     for name, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
@@ -390,7 +390,7 @@ def build_parser():
     p.set_defaults(func=cmd_hardness_frontier)
 
     p = sub.add_parser("verify", help="run a built-in verification suite")
-    p.add_argument("suite", choices=("quick", "oracle", "paper"))
+    p.add_argument("suite", choices=SUITES)
     p.set_defaults(func=cmd_verify)
     return parser
 

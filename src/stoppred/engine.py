@@ -14,8 +14,8 @@ Every estimator applies that rule through one vectorized numpy scan,
 the best-so-far entries first and evaluates the predicted cdf and the
 threshold at those entries only: a row of n i.i.d. values holds H_n of
 them on average (5.9 of 200), so the per-entry work is one running
-maximum.  ``run_bicriteria`` keeps the literal per-value loop as the
-reference the scan is tested against.
+maximum.  The literal per-value loop that the scan is tested against is
+``run_bicriteria`` in tests/reference.py.
 
 The rows come in two forms.  Full rows hold all n values and their sorted
 arrival times.  Record rows hold only the weak records (the values at least
@@ -44,70 +44,15 @@ RECORD_ROWS_MIN_N = 32
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 __all__ = [
-    "Instance",
+    "RECORD_ROWS_MIN_N",
     "SimReport",
     "scan_first_accept",
-    "run_bicriteria",
     "run_sharding",
-    "attach_uniform_times",
     "simulate",
     "accepted_value_samples",
     "simulate_coupled_sharding",
     "googol_win_mc",
 ]
-
-
-@dataclass(frozen=True)
-class Instance:
-    """Realized values in arrival order, with optional arrival times."""
-
-    values: np.ndarray
-    arrival_times: np.ndarray | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1 or len(values) == 0:
-            raise ValueError("values must be a non-empty 1-d array")
-        if np.any(values < 0.0):
-            raise ValueError("values must be non-negative")
-        if self.arrival_times is not None:
-            times = np.asarray(self.arrival_times, dtype=float)
-            object.__setattr__(self, "arrival_times", times)
-            if times.shape != values.shape:
-                raise ValueError("values and arrival_times must have equal length")
-            if len(np.unique(times)) != len(times):
-                raise ValueError("arrival times must be pairwise distinct")
-            if np.any(times < 0.0) or np.any(times > 1.0):
-                raise ValueError("arrival times must lie in [0, 1]")
-
-
-def attach_uniform_times(values, rng):
-    """Discrete-time adapter: sorted uniform draws become the arrival times."""
-    values = np.asarray(values, dtype=float)
-    times = np.sort(rng.random(len(values)))
-    return Instance(values, times)
-
-
-def run_bicriteria(inst, predicted, theta):
-    """Index of the accepted value, or None.
-
-    Scans in time order and takes the first value that is best-so-far with
-    predicted cdf strictly above the threshold at its arrival time (a zero
-    threshold accepts any best-so-far value).
-    """
-    if inst.arrival_times is None:
-        raise ValueError("instance needs arrival times; see attach_uniform_times")
-    order = np.argsort(inst.arrival_times)
-    prefix_max = 0.0
-    for i in order:
-        x = inst.values[i]
-        if x >= prefix_max:
-            level = theta.eval(inst.arrival_times[i])
-            if predicted.cdf(x) > level or level == 0.0:
-                return int(i)
-            prefix_max = x
-    return None
 
 
 def scan_first_accept(values, times, predicted, theta):

@@ -44,7 +44,6 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass
 
@@ -83,25 +82,22 @@ def _load_highs(directory):
 _highs = _load_highs(os.path.join(scipy.__path__[0], "optimize", "_highspy"))
 
 __all__ = [
+    "FEASIBILITY_TOL",
     "harmonic_prior",
     "Csr",
     "PolytopeModel",
     "build_polytope",
     "LpSolution",
+    "LpError",
     "solve_lp",
     "export_lp",
     "export_lp_objective",
     "export_lp_body",
-    "parse_lp",
     "FrontierPoint",
     "frontier_sweep",
     "delta_table",
     "win_prob_by_truncation",
     "acc_to_rej",
-    "rej_to_acc",
-    "rule_solution_vector",
-    "brute_force_win_prob",
-    "random_rule",
 ]
 
 FEASIBILITY_TOL = 1e-7  # largest constraint or bound violation a solution may show
@@ -513,16 +509,7 @@ def frontier_sweep(n, K, pmf, lambdas):
 
 
 # ---------------------------------------------------------------------------
-# Rule representations and oracles
-
-
-def random_rule(n, K, rng):
-    """Acceptance table with i.i.d. uniform entries."""
-    return rng.random((n, K))
-
-
-def _rej_products(prev_rej, delta_prev):
-    return np.cumsum(delta_prev * prev_rej)
+# Rule representations
 
 
 def acc_to_rej(acc, pmf):
@@ -533,7 +520,7 @@ def acc_to_rej(acc, pmf):
     zero the acceptance entry is irrelevant and drops out on its own.
     """
     acc = np.asarray(acc, dtype=float)
-    if np.any(acc < 0.0) or np.any(acc > 1.0):
+    if not np.all((acc >= 0.0) & (acc <= 1.0)):  # written so that a NaN fails it
         raise ValueError("acceptance entries must lie in [0, 1]")
     n, K = acc.shape
     pmf = _pmf_array(pmf)
@@ -542,31 +529,13 @@ def acc_to_rej(acc, pmf):
     rej = np.empty_like(acc)
     prev = np.ones(K)
     for t in range(1, n + 1):
-        arrivals = pmf * _rej_products(prev, delta[t - 1])
+        arrivals = pmf * np.cumsum(delta[t - 1] * prev)
         num = prev * delta[t - 1] * Fm1 + (1.0 - acc[t - 1]) * arrivals
         with np.errstate(invalid="ignore", divide="ignore"):
             row = np.where(delta[t] > 0.0, num / np.where(delta[t] > 0.0, delta[t], 1.0), 1.0)
         rej[t - 1] = np.clip(row, 0.0, 1.0)
         prev = rej[t - 1]
     return rej
-
-
-def rej_to_acc(rej, pmf):
-    """Inverse of acc_to_rej; entries with zero arrival mass map to 0."""
-    rej = np.asarray(rej, dtype=float)
-    n, K = rej.shape
-    pmf = _pmf_array(pmf)
-    _, Fm1 = _cdf_pair(pmf)
-    delta = delta_table(pmf, n)
-    acc = np.empty_like(rej)
-    prev = np.ones(K)
-    for t in range(1, n + 1):
-        den = pmf * _rej_products(prev, delta[t - 1])
-        num = rej[t - 1] * delta[t] - prev * delta[t - 1] * Fm1
-        with np.errstate(invalid="ignore", divide="ignore"):
-            acc[t - 1] = np.where(den > 0.0, 1.0 - num / np.where(den > 0.0, den, 1.0), 0.0)
-        prev = rej[t - 1]
-    return acc
 
 
 def win_prob_by_truncation(rej, pmf):
@@ -588,59 +557,6 @@ def win_prob_by_truncation(rej, pmf):
         V += F ** (n - t) * w
     with np.errstate(divide="ignore"):
         return np.cumsum(V) / F**n
-
-
-def rule_solution_vector(model, rej):
-    """Full variable vector (y, scaled prefixes, wins, cumulatives, alpha,
-    beta) induced by a rejection table; feasible whenever the table comes
-    from a genuine rule."""
-    rej = np.asarray(rej, dtype=float)
-    n, K = model.n, model.K
-    if rej.shape != (n, K):
-        raise ValueError("rejection table shape does not match the model")
-    pmf = model.pmf
-    F, _ = _cdf_pair(pmf)
-    delta = delta_table(pmf, n)
-    x = np.zeros(model.num_vars)
-    x[: n * K] = rej.ravel()
-    for t in range(1, n):
-        x[n * K + (t - 1) * K : n * K + t * K] = np.cumsum(delta[t] * rej[t - 1]) / F**t
-    exprs = win_prob_by_truncation(rej, pmf)
-    # v_l is the l-th increment of the scaled cumulative win probabilities
-    b = exprs
-    v = b - np.concatenate(([0.0], b[:-1])) * np.concatenate(([0.0], (F[:-1] / F[1:]) ** n))
-    x[(2 * n - 1) * K : 2 * n * K] = v
-    x[2 * n * K : (2 * n + 1) * K] = b
-    x[-2] = exprs[-1]
-    x[-1] = exprs.min()
-    return x
-
-
-def brute_force_win_prob(acc, pmf, k):
-    """Exhaustive win probability under the truncation to {1..k}.
-
-    Enumerates all k**n sequences; a sequence wins at step t when the rule
-    fires there, the value is best-so-far, and it ties the overall maximum
-    (all-ties-win convention).  Budgeted at 1e6 sequences.
-    """
-    acc = np.asarray(acc, dtype=float)
-    n, K = acc.shape
-    if not (1 <= k <= K and int(k) == k):
-        raise ValueError("truncation level outside the support")
-    k = int(k)
-    if k**n > 1_000_000:
-        raise ValueError("enumeration budget exceeded (k**n > 1e6)")
-    pmf = _pmf_array(pmf)
-    fk = pmf[:k] / pmf[:k].sum()
-    seqs = np.indices((k,) * n).reshape(n, -1).T + 1  # (k**n, n)
-    probs = fk[seqs - 1].prod(axis=1)
-    prefmax = np.maximum.accumulate(seqs, axis=1)
-    best = seqs == prefmax
-    fire = np.where(best, acc[np.arange(n)[None, :], seqs - 1], 0.0)
-    surv = np.cumprod(1.0 - fire, axis=1)
-    surv = np.concatenate([np.ones((len(seqs), 1)), surv[:, :-1]], axis=1)
-    is_max = seqs == seqs.max(axis=1, keepdims=True)
-    return float(np.sum(probs * np.sum(surv * fire * is_max, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -718,65 +634,3 @@ def _row_exprs(csr, names):
         " ".join(terms[lo:hi]) if hi > lo else "0 " + names[csr.indices[start]]
         for lo, hi, start in zip(kept[:-1].tolist(), kept[1:].tolist(), csr.indptr[:-1].tolist())
     ]
-
-
-_TERM_RE = re.compile(r"([+-])?\s*(\d[\d.eE+-]*)?\s*([A-Za-z]\w*)")
-
-
-def _parse_terms(expr):
-    terms = {}
-    for sign, coef, name in _TERM_RE.findall(expr):
-        value = float(coef) if coef else 1.0
-        if sign == "-":
-            value = -value
-        terms[name] = terms.get(name, 0.0) + value
-    return terms
-
-
-def parse_lp(text):
-    """Parse the canonical export format back into objective/rows/bounds."""
-    section = None
-    objective = {}
-    rows = {}
-    bounds = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("\\"):
-            continue
-        lowered = line.lower()
-        if lowered in ("maximize", "minimize"):
-            section = "obj"
-            continue
-        if lowered == "subject to":
-            section = "rows"
-            continue
-        if lowered == "bounds":
-            section = "bounds"
-            continue
-        if lowered == "end":
-            break
-        if section == "obj":
-            _, expr = line.split(":", 1)
-            objective = _parse_terms(expr)
-        elif section == "rows":
-            name, rest = line.split(":", 1)
-            if "<=" in rest:
-                expr, rhs = rest.split("<=")
-                sense = "<="
-            elif ">=" in rest:
-                expr, rhs = rest.split(">=")
-                sense = ">="
-            else:
-                expr, rhs = rest.split("=")
-                sense = "="
-            rows[name.strip()] = (_parse_terms(expr), sense, float(rhs))
-        elif section == "bounds":
-            if line.endswith(" free"):
-                bounds[line[:-5].strip()] = (None, None)
-            elif "<=" in line:
-                lo, name, hi = line.split("<=")
-                bounds[name.strip()] = (float(lo), float(hi))
-            elif ">=" in line:
-                name, lo = line.split(">=")
-                bounds[name.strip()] = (float(lo), None)
-    return {"objective": objective, "rows": rows, "bounds": bounds}

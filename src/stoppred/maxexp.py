@@ -11,11 +11,12 @@ every grid endpoint, where
 
 The recursion solves each theta_i from the equality form, starting at
 z = lambda2 and caching the accumulated tail sum.  Every integral above is
-a closed form (quadrature.pow_integral and the exponential-integral
-quadrature.log_time_integral), and each theta_i is one bracketed Brent
-root, so one pass costs O(m) root solves.  A sequence with theta_1 >= 1,
-clamped to min(theta_i, 1), yields a valid robust threshold; the outer
-search bisects on alpha for the feasibility boundary theta_1 = 1.
+a closed form.  Each bracketed term is quadrature._piece_tail, the same
+per-piece term that analytics._LTable sums, and the first integral is the
+exponential-integral quadrature.log_time_integral.  Each theta_i is one
+bracketed Brent root, so one pass costs O(m) root solves.  A sequence with
+theta_1 >= 1, clamped to min(theta_i, 1), yields a valid robust threshold;
+the outer search bisects on alpha for the feasibility boundary theta_1 = 1.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from ._roots import brentq
 from .priors import E_INV, LambdaPair, lambda_pair
-from .quadrature import log_time_integral, pow_integral
+from .quadrature import _piece_tail, log_time_integral
 from .thresholds import ThresholdFn, dynkin_threshold, robustify
 
 __all__ = ["StepSolution", "solve_steps", "max_alpha_for_beta", "tradeoff_curve_maxexp", "CurvePoint"]
@@ -55,15 +56,6 @@ class StepSolution:
         z = self.grid
         middle = ThresholdFn(np.append(z[1:], 1.0), np.append(np.minimum(self.theta_values, 1.0), 0.0))
         return robustify(middle, self.pair)
-
-    def unclamped_threshold(self):
-        """Raw step values as a threshold on (lambda1, lambda2], 0 beyond."""
-        if len(self.theta_values) == 0:
-            raise ValueError("degenerate solution has no step values")
-        z = self.grid
-        breaks = np.append(z[1:], 1.0)
-        vals = np.append(self.theta_values, 0.0)
-        return ThresholdFn(breaks, vals)
 
 
 _LOG_FLOOR = -700.0  # exp of this is the smallest step value worth resolving
@@ -136,12 +128,8 @@ def solve_steps(alpha, beta, m):
         theta = _piece_equation(z[i + 1], tail, alpha)
         thetas[i] = theta
         if i > 0:
-            # bracketed tail term of piece (z_i, z_{i+1}] for the next steps
-            tail += (
-                pow_integral(theta, z[i], z[i + 1])
-                - z[i] * log_time_integral(theta, z[i], z[i + 1])
-                + (z[i + 1] - z[i]) * log_time_integral(theta, z[i + 1], 1.0)
-            )
+            # tail term of piece (z_i, z_{i+1}] for the next steps
+            tail += _piece_tail(theta, z[i], z[i + 1])[0]
     if np.any(np.diff(thetas) > 1e-9):
         raise ArithmeticError("step values failed to come out non-increasing")
     return StepSolution(

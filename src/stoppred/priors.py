@@ -25,11 +25,9 @@ __all__ = [
     "Prior",
     "Uniform",
     "Exponential",
-    "QuantileTable",
     "PowerRoot",
     "DiscretePrior",
     "power_root_cdf",
-    "truncate_conditional",
     "LambdaPair",
     "lambda_pair",
     "neg_lambda_log",
@@ -110,39 +108,6 @@ class Exponential(Prior):
         return _maybe_scalar(out, scalar)
 
 
-class QuantileTable(Prior):
-    """Empirical continuous prior given by a piecewise-linear quantile table.
-
-    ``probs`` must start at 0, end at 1, and be strictly increasing;
-    ``values`` must be strictly increasing.  cdf and quantile are linear
-    interpolations, inverse to each other on the interior.
-    """
-
-    def __init__(self, probs, values):
-        probs = np.asarray(probs, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if probs.shape != values.shape or probs.ndim != 1 or len(probs) < 2:
-            raise ValueError("probs and values must be 1-d arrays of equal length >= 2")
-        if probs[0] != 0.0 or probs[-1] != 1.0:
-            raise ValueError("probs must span [0, 1]")
-        if np.any(np.diff(probs) <= 0) or np.any(np.diff(values) <= 0):
-            raise ValueError("probs and values must be strictly increasing")
-        self.probs = probs
-        self.values = values
-
-    def __repr__(self):
-        return f"QuantileTable(<{len(self.probs)} knots>)"
-
-    def cdf(self, x):
-        arr, scalar = _as_float_array(x)
-        out = np.interp(arr, self.values, self.probs, left=0.0, right=1.0)
-        return _maybe_scalar(out, scalar)
-
-    def quantile(self, q):
-        arr, scalar = _check_probability(q)
-        return _maybe_scalar(np.interp(arr, self.probs, self.values), scalar)
-
-
 class PowerRoot(Prior):
     """Prior whose cdf is base.cdf ** (1/k).
 
@@ -189,12 +154,14 @@ class DiscretePrior(Prior):
         pmf = np.asarray(pmf, dtype=float)
         if pmf.ndim != 1 or len(pmf) < 1:
             raise ValueError("pmf must be a non-empty 1-d array")
-        if np.any(pmf < 0.0):
+        # written so that a NaN fails each check
+        if not np.all(pmf >= 0.0):
             raise ValueError("pmf entries must be non-negative")
-        if abs(pmf.sum() - 1.0) > 1e-12:
+        if not abs(pmf.sum() - 1.0) <= 1e-12:
             raise ValueError("pmf must sum to 1 within 1e-12")
         self.pmf = pmf
-        cum = np.cumsum(pmf)
+        # rounding can lift a partial sum above 1 where the later masses are 0 or tiny
+        cum = np.minimum(np.cumsum(pmf), 1.0)
         cum[-1] = 1.0
         self._cum = cum
         self._cdf_table = np.concatenate(([0.0], cum))  # entry l: P[X <= l]
@@ -226,24 +193,18 @@ class DiscretePrior(Prior):
         return _maybe_scalar(out, scalar)
 
     def truncate(self, k):
-        return truncate_conditional(self, k)
+        """Condition on the values being at most k.
 
-
-def truncate_conditional(prior, k):
-    """Condition a discrete prior on its values being at most k.
-
-    The returned prior has support {1, ..., k} and cdf equal to
-    ``cdf(prior, l) / cdf(prior, k)`` for l <= k.
-    """
-    if prior.kind != "discrete":
-        raise ValueError("truncate_conditional requires a discrete prior")
-    if not (1 <= k <= prior.support_size and int(k) == k):
-        raise ValueError("truncation level outside the support")
-    k = int(k)
-    mass = prior._cum[k - 1]
-    if mass <= 0.0:
-        raise ValueError("no probability mass at or below the truncation level")
-    return DiscretePrior(prior.pmf[:k] / mass)
+        The returned prior has support {1, ..., k} and cdf equal to
+        ``cdf(l) / cdf(k)`` for l <= k.
+        """
+        if not (1 <= k <= self.support_size and int(k) == k):
+            raise ValueError("truncation level outside the support")
+        k = int(k)
+        mass = self._cum[k - 1]
+        if mass <= 0.0:
+            raise ValueError("no probability mass at or below the truncation level")
+        return DiscretePrior(self.pmf[:k] / mass)
 
 
 def neg_lambda_log(lam):

@@ -2,7 +2,9 @@
 
 ``pow_integral`` is int v**t dt and ``log_time_integral`` is int v**t / t dt,
 an exponential integral evaluated by stoppred._expint.  Both return Python
-floats.
+floats.  ``_piece_tail`` combines them into the per-piece term of the
+consistency integral L(z), which analytics._LTable and the maxexp
+recursion both sum.
 """
 
 from __future__ import annotations
@@ -50,3 +52,16 @@ def pow_integral(v, a, b):
         return b - a
     logv = math.log(v)
     return float(v**a * math.expm1((b - a) * logv) / logv)
+
+
+def _piece_tail(v, a, b):
+    """int_a^b (t - a) v**t / t dt + (b - a) int_b^1 v**t / t dt, and the last integral.
+
+    This is the term that a piece (a, b] at level v adds to L(z) for every
+    z <= a.  The a-term is absent for a = 0, where it vanishes.
+    """
+    rest = log_time_integral(v, b, 1.0)
+    head = pow_integral(v, a, b)
+    if a > 0.0:
+        head -= a * log_time_integral(v, a, b)
+    return head + (b - a) * rest, rest

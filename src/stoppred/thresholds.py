@@ -30,7 +30,6 @@ __all__ = [
     "single_threshold",
     "gm_threshold",
     "gm_threshold_value",
-    "gm_asymptotic",
     "threshold_to_csv",
     "threshold_from_csv",
 ]
@@ -202,7 +201,7 @@ def _gm_root(n):
 
 
 def _gm_levels(n, s):
-    # the large-n form of gm_asymptotic, exact with c_n in place of c
+    # 1 / (1 + y_n / (1 - s)) with y_n = c_n / (n - 1), as gm_threshold_value derives
     return 1.0 / (1.0 + _gm_root(int(n)) / ((n - 1) * (1.0 - s)))
 
 
@@ -241,16 +240,6 @@ def gm_threshold(n, m):
     breaks = np.arange(1, m + 1) / m
     breaks[-1] = 1.0
     return ThresholdFn(breaks, vals)
-
-
-def gm_asymptotic(s, n, c):
-    """Large-n approximation 1 / (1 + c / ((n-1)(1-s))) of the best-choice level."""
-    if not (2 <= n < math.inf and int(n) == n):
-        raise ValueError("need integer n >= 2")
-    s = float(s)
-    if not (0.0 <= s < 1.0):
-        raise ValueError("s must lie in [0, 1)")
-    return 1.0 / (1.0 + c / ((n - 1) * (1.0 - s)))
 
 
 def threshold_to_csv(theta):

@@ -14,11 +14,12 @@ interior point that the companion test reproduces; [0.688, 0.693] brackets
 the maximum on a coarser grid (0.69033 at m = 100, against 0.69349 at
 m = 150 and 0.69657 at m = 300; the drift is first order in 1/m).
 
-Criterion 5 evaluates the same L(z) through _LTable that the recursion
-solves, so it checks the solve, not the model.  The independent certificate
-is the simulated tail check inside criterion 4: the acceptance rule depends
-on quantiles only, so alpha-consistency for every prior is the tail
-dominance P[F(accepted)^n >= y] >= alpha (1 - y) for all y.
+Criterion 5 evaluates L(z) through _LTable, and _LTable and the recursion
+share one piece integral (quadrature._piece_tail), so it checks the solve,
+not the model.  The independent certificate is the simulated tail check
+inside criterion 4: the acceptance rule depends on quantiles only, so
+alpha-consistency for every prior is the tail dominance
+P[F(accepted)^n >= y] >= alpha (1 - y) for all y.
 """
 
 import os
@@ -29,6 +30,8 @@ import pytest
 
 from stoppred import analytics, engine, hardness, maxexp, thresholds
 from stoppred.priors import E_INV, Uniform, lambda_pair, neg_lambda_log
+
+from reference import brute_force_win_prob, rule_solution_vector
 
 UNIT = Uniform(0.0, 1.0)
 
@@ -238,19 +241,19 @@ def test_criterion_11_lp_soundness():
         prior = hardness.harmonic_prior(K)
         model = hardness.build_polytope(n, K, prior)
         for _ in range(34 if (n, K) != (4, 3) else 32):
-            acc = hardness.random_rule(n, K, rng)
+            acc = rng.random((n, K))
             rej = hardness.acc_to_rej(acc, prior)
             exprs = hardness.win_prob_by_truncation(rej, prior)
             for k in range(1, K + 1):
-                gap = abs(hardness.brute_force_win_prob(acc, prior, k) - exprs[k - 1])
+                gap = abs(brute_force_win_prob(acc, prior, k) - exprs[k - 1])
                 worst = max(worst, gap)
-            x = hardness.rule_solution_vector(model, rej)
+            x = rule_solution_vector(model, rej)
             worst = max(worst, float(np.max(model.a_ub @ x - model.b_ub)))
             count += 1
     # reject-all point at (alpha, beta) = (0, 0)
     prior = hardness.harmonic_prior(3)
     model = hardness.build_polytope(3, 3, prior)
-    x = hardness.rule_solution_vector(model, np.ones((3, 3)))
+    x = rule_solution_vector(model, np.ones((3, 3)))
     reject_all_ok = (
         np.max(model.a_ub @ x - model.b_ub) <= 1e-12
         and abs(x[-2]) <= 1e-12

@@ -11,8 +11,6 @@ from stoppred.analytics import (
     _LTable,
     c_series,
     check_consistency_conditions,
-    consistency_integral,
-    consistency_density,
     win_probability,
     googol_win_formula,
     maxprob_alpha,
@@ -23,6 +21,7 @@ from stoppred.priors import E_INV, Uniform, lambda_pair
 from stoppred.thresholds import ThresholdFn, dynkin_threshold, gm_threshold, robustify, single_threshold
 
 from conftest import random_step_threshold
+from reference import consistency_integral
 
 UNIT = Uniform(0.0, 1.0)
 ONES = ThresholdFn([1.0], [1.0])
@@ -356,64 +355,12 @@ def test_maxexp_tail_against_engine():
     assert abs(exact - p) <= 4.0 * se
 
 
-def test_consistency_density_dynkin_closed_form():
-    lam2 = 0.55
-    theta = dynkin_threshold(lam2)
-    for q in (0.2, 0.7, 1.0):
-        oracle = _gauss(lambda t: lam2 / t * q ** (t - 1.0), lam2, 1.0)
-        assert consistency_density(theta, q) == pytest.approx(oracle, abs=1e-8)
-    # q = 1 integrates the area of the wait phase: -lam ln lam
-    assert consistency_density(theta, 1.0) == pytest.approx(-lam2 * math.log(lam2), abs=1e-9)
-
-
-def test_consistency_density_monotone_below_terminal_level():
-    theta = robustify(gm_threshold(6, 40), lambda_pair(0.3))
-    cap = theta.eval(lambda_pair(0.3).lambda2)
-    qs = np.linspace(0.05, cap, 7)
-    vals = [consistency_density(theta, q) for q in qs]
-    assert np.all(np.diff(vals) <= 1e-9)
-
-
-def _quad_consistency_density(theta, q):
-    """g(q) by its former route: the s-integral summed over the pieces and the
-    t-integral taken by quad over each piece's part of (z, 1]."""
-    from scipy import integrate
-
-    z = theta.generalized_inverse(q)
-    pieces = list(theta.pieces())
-    total = 0.0
-    for p, (a, b, v) in enumerate(pieces):
-        if max(a, z) >= b:
-            continue
-
-        def f(t, p=p, a=a, v=v):
-            full = sum((hi - lo) * min(w, q) ** t for lo, hi, w in pieces[:p])
-            return (full + (t - a) * min(v, q) ** t) / (t * q)
-
-        total += integrate.quad(f, max(a, z), b, epsabs=1e-13, epsrel=1e-12)[0]
-    return total
-
-
-def test_consistency_density_matches_quadrature():
-    rng = np.random.default_rng(29)
-    rules = [robustify(gm_threshold(6, 40), lambda_pair(0.3)), gm_threshold(8, 21)]
-    rules += [random_step_threshold(rng) for _ in range(10)]
-    for theta in rules:
-        for q in (0.05, 0.3, 0.6, 0.9, 1.0):
-            assert abs(consistency_density(theta, q) - _quad_consistency_density(theta, q)) <= 1e-10
-
-
-def test_consistency_density_rejects_zero():
-    with pytest.raises(ValueError):
-        consistency_density(dynkin_threshold(0.5), 0.0)
-
-
 def test_consistency_integral_matches_table():
     rng = np.random.default_rng(17)
     for _ in range(20):
         theta = robustify(random_step_threshold(rng), lambda_pair(rng.uniform(0.05, E_INV)))
         table = _LTable(theta)
-        for z in rng.random(5):
+        for z in [0.0, *theta.breakpoints, *rng.random(5)]:
             assert table.value(z) == pytest.approx(consistency_integral(theta, z), abs=1e-9)
 
 

@@ -21,7 +21,7 @@ def test_verify_quick_passes(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setitem(cli.cmd_verify.__globals__, "_verify_quick", lambda: [("forced", False)])
+    monkeypatch.setitem(cli.SUITES, "quick", lambda: [("forced", False)])
     code, out, _ = run_cli(capsys, "verify", "quick")
     assert code == 4
     assert "FAIL  forced" in out
@@ -189,11 +189,15 @@ SIM = ["simulate", "--real", "uniform:0,1", "--predicted", "uniform:0,1", "--thr
         ["hardness-frontier", "--n", "2", "--k-support", "3", "--lambda-grid", "0,1", "--solver", "export",
          "--out", "{tmp}/nan_level.csv"],
         ["maxexp-curve", "--beta", "0.3", "--m", "8", "--dump-thresholds", "{tmp}/nan_level.csv"],
+        # a NaN mass, which a plain `pmf < 0` test lets through
+        ["simulate", "--real", "pmf:{tmp}/nan.pmf", "--predicted", "pmf:{tmp}/nan.pmf", "--threshold", "dynkin:0.3",
+         "--n", "5"],
     ],
 )
 def test_library_domain_errors_are_usage_errors(capsys, tmp_path, argv):
     (tmp_path / "nan_level.csv").write_text("t,theta\n0.5,nan\n1,0\n")
     (tmp_path / "nan_break.csv").write_text("t,theta\nnan,1\n1,0\n")
+    (tmp_path / "nan.pmf").write_text("nan\n0.5\n0.5\n")
     code, _, err = run_cli(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
     assert code == 2
     assert err.startswith("error: ")
@@ -212,6 +216,8 @@ UNIT = priors.Uniform(0.0, 1.0)
         pytest.param(lambda: analytics.googol_win_formula([0.2, math.nan], DYNKIN), id="googol-formula-nan"),
         pytest.param(lambda: analytics.googol_win_formula([math.nan], DYNKIN), id="googol-formula-lone-nan"),
         pytest.param(lambda: engine.googol_win_mc([0.2, math.nan, 0.7], UNIT, DYNKIN, 1000, 1), id="googol-mc-nan"),
+        pytest.param(lambda: priors.DiscretePrior([math.nan, 0.5, 0.5]), id="discrete-prior-nan"),
+        pytest.param(lambda: hardness.acc_to_rej([[math.nan, 0.5]], [0.5, 0.5]), id="acc-to-rej-nan"),
         # +-inf and NaN integer arguments, on which int(x) raises OverflowError
         pytest.param(lambda: analytics.win_probability(DYNKIN, math.inf), id="win-probability-inf"),
         pytest.param(lambda: thresholds.gm_threshold(math.inf, 300), id="gm-threshold-n-inf"),
@@ -219,7 +225,6 @@ UNIT = priors.Uniform(0.0, 1.0)
         pytest.param(lambda: thresholds.gm_threshold(-math.inf, 300), id="gm-threshold-n-minus-inf"),
         pytest.param(lambda: thresholds.gm_threshold(10, math.nan), id="gm-threshold-m-nan"),
         pytest.param(lambda: thresholds.gm_threshold_value(math.inf, 0.5), id="gm-threshold-value-inf"),
-        pytest.param(lambda: thresholds.gm_asymptotic(0.5, math.inf, 0.8), id="gm-asymptotic-inf"),
         pytest.param(lambda: thresholds.single_threshold(math.inf), id="single-threshold-inf"),
         pytest.param(lambda: maxexp.solve_steps(0.6, 0.01, math.inf), id="solve-steps-inf"),
         pytest.param(lambda: maxexp.tradeoff_curve_maxexp([0.1], math.inf), id="maxexp-curve-inf"),
@@ -230,8 +235,6 @@ UNIT = priors.Uniform(0.0, 1.0)
         pytest.param(lambda: hardness.harmonic_prior(math.inf), id="harmonic-prior-inf"),
         pytest.param(lambda: hardness.build_polytope(math.inf, 2, [0.5, 0.5]), id="build-polytope-n-inf"),
         pytest.param(lambda: hardness.build_polytope(2, math.nan, [0.5, 0.5]), id="build-polytope-k-nan"),
-        pytest.param(lambda: hardness.brute_force_win_prob(np.ones((2, 3)), [0.5, 0.25, 0.25], math.inf),
-                     id="brute-force-inf"),
         pytest.param(lambda: engine.run_sharding([1.0, 2.0], math.inf, UNIT, DYNKIN, np.random.default_rng(0)),
                      id="run-sharding-inf"),
         pytest.param(lambda: engine.simulate_coupled_sharding(UNIT, UNIT, DYNKIN, 3, math.inf, 10, 0),

@@ -6,15 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stoppred import engine
-from stoppred.engine import (
-    Instance,
-    attach_uniform_times,
-    googol_win_mc,
-    run_bicriteria,
-    run_sharding,
-    simulate,
-    simulate_coupled_sharding,
-)
+from stoppred.engine import googol_win_mc, run_sharding, simulate, simulate_coupled_sharding
 from stoppred.analytics import win_probability
 from stoppred.priors import (
     E_INV,
@@ -28,21 +20,21 @@ from stoppred.priors import (
 from stoppred.thresholds import ThresholdFn, dynkin_threshold, gm_threshold, robustify, single_threshold
 
 from conftest import random_step_threshold
+from reference import run_bicriteria
 
 UNIT = Uniform(0.0, 1.0)
 ONES = ThresholdFn([1.0], [1.0])
 
 
 def test_run_bicriteria_example():
-    inst = Instance(np.array([0.9, 0.5]), np.array([0.5, 0.8]))
-    assert run_bicriteria(inst, UNIT, dynkin_threshold(E_INV)) == 0
+    assert run_bicriteria(np.array([0.9, 0.5]), np.array([0.5, 0.8]), UNIT, dynkin_threshold(E_INV)) == 0
 
 
 def test_run_bicriteria_threshold_one_never_accepts():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        inst = attach_uniform_times(rng.random(8), rng)
-        assert run_bicriteria(inst, UNIT, ONES) is None
+        values = rng.random(8)
+        assert run_bicriteria(values, np.sort(rng.random(8)), UNIT, ONES) is None
 
 
 def test_run_bicriteria_mispredicted_support_rejects_all():
@@ -52,22 +44,8 @@ def test_run_bicriteria_mispredicted_support_rejects_all():
     theta = gm_threshold(10, 50)
     wrong = Uniform(2.0, 3.0)
     for _ in range(200):
-        inst = attach_uniform_times(rng.random(10), rng)
-        assert run_bicriteria(inst, wrong, theta) is None
-
-
-def test_run_bicriteria_needs_times():
-    with pytest.raises(ValueError):
-        run_bicriteria(Instance(np.array([1.0, 2.0])), UNIT, ONES)
-
-
-def test_instance_validation():
-    with pytest.raises(ValueError):
-        Instance(np.array([1.0, -2.0]))
-    with pytest.raises(ValueError):
-        Instance(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        Instance(np.array([1.0, 2.0]), np.array([0.5]))
+        values = rng.random(10)
+        assert run_bicriteria(values, np.sort(rng.random(10)), wrong, theta) is None
 
 
 def test_no_acceptance_predicate_matches_prefix_maximum_rule():
@@ -78,9 +56,8 @@ def test_no_acceptance_predicate_matches_prefix_maximum_rule():
         n = int(rng.integers(1, 7))
         values = rng.random(n)
         times = rng.random(n)
-        inst = Instance(values, times)
         theta = random_step_threshold(rng)
-        idx = run_bicriteria(inst, UNIT, theta)
+        idx = run_bicriteria(values, times, UNIT, theta)
         t_acc = math.inf if idx is None else times[idx]
         probes = rng.random(100)
         before = times[None, :] < probes[:, None]
@@ -101,8 +78,8 @@ def test_scale_invariance_of_decisions():
     for _ in range(500):
         values = rng.random(6)
         times = rng.random(6)
-        base = run_bicriteria(Instance(values, times), UNIT, theta)
-        scaled = run_bicriteria(Instance(2.0 + 3.0 * values, times), Uniform(2.0, 5.0), theta)
+        base = run_bicriteria(values, times, UNIT, theta)
+        scaled = run_bicriteria(2.0 + 3.0 * values, times, Uniform(2.0, 5.0), theta)
         assert base == scaled
 
 
@@ -192,13 +169,6 @@ def test_googol_win_mc_rejects_ties():
         googol_win_mc(np.array([1.0, 1.0]), UNIT, ONES, 10, 20)
 
 
-def test_attach_uniform_times_sorted():
-    rng = np.random.default_rng(22)
-    inst = attach_uniform_times(np.array([3.0, 1.0, 2.0]), rng)
-    assert np.all(np.diff(inst.arrival_times) > 0)
-    assert inst.values.tolist() == [3.0, 1.0, 2.0]
-
-
 # Generated inputs for the scan: a few value levels (ties, zeros) mixed with
 # arbitrary floats, thresholds whose levels include 0 (accept any
 # best-so-far value) and 1 (accept nothing), and predicted priors whose
@@ -229,7 +199,7 @@ def timed_rows(draw, length):
 
 
 def _literal_accepted(values, times, predicted, theta):
-    idx = run_bicriteria(Instance(values, times), predicted, theta)
+    idx = run_bicriteria(values, times, predicted, theta)
     return (-1, 0.0) if idx is None else (idx, values[idx])
 
 
@@ -270,7 +240,7 @@ def test_run_sharding_matches_literal_loop(n, k, seed, theta):
     rng = np.random.default_rng(seed + 1)
     t_sorted = np.sort(rng.random(n * k))
     s = t_sorted[np.arange(n) * k + rng.integers(0, k, size=n)]
-    assert got == run_bicriteria(Instance(values, s), power_root_cdf(UNIT, k), theta)
+    assert got == run_bicriteria(values, s, power_root_cdf(UNIT, k), theta)
 
 
 @pytest.mark.parametrize(

@@ -14,19 +14,16 @@ from stoppred import hardness
 from stoppred.hardness import (
     LpError,
     acc_to_rej,
-    brute_force_win_prob,
     build_polytope,
     delta_table,
     export_lp,
     frontier_sweep,
     harmonic_prior,
-    parse_lp,
-    random_rule,
-    rej_to_acc,
-    rule_solution_vector,
     solve_lp,
     win_prob_by_truncation,
 )
+
+from reference import brute_force_win_prob, parse_lp, rej_to_acc, rule_solution_vector
 
 DESK_SIZES = [(2, 2), (3, 3), (4, 3)]
 
@@ -58,7 +55,7 @@ def test_oracle_equivalence_random_rules():
     for n, K in DESK_SIZES:
         prior = harmonic_prior(K)
         for _ in range(34):
-            acc = random_rule(n, K, rng)
+            acc = rng.random((n, K))
             rej = acc_to_rej(acc, prior)
             exprs = win_prob_by_truncation(rej, prior)
             for k in range(1, K + 1):
@@ -71,7 +68,7 @@ def test_random_rules_are_feasible():
         prior = harmonic_prior(K)
         model = build_polytope(n, K, prior)
         for _ in range(10):
-            rej = acc_to_rej(random_rule(n, K, rng), prior)
+            rej = acc_to_rej(rng.random((n, K)), prior)
             x = rule_solution_vector(model, rej)
             assert np.max(model.a_ub @ x - model.b_ub) <= 1e-9
             assert np.max(np.abs(model.a_eq @ x - model.b_eq)) <= 1e-9
@@ -94,7 +91,7 @@ def test_acc_rej_conversions():
     rej = acc_to_rej(np.zeros((n, 3)), prior)
     assert np.allclose(rej, 1.0, atol=1e-14)  # never accept
     rng = np.random.default_rng(8)
-    acc = random_rule(n, 3, rng)
+    acc = rng.random((n, 3))
     back = rej_to_acc(acc_to_rej(acc, prior), prior)
     assert np.max(np.abs(back - acc)) <= 1e-12
 
@@ -181,7 +178,7 @@ def test_conversion_against_enumeration():
     rng = np.random.default_rng(12)
     for n, K in [(2, 2), (3, 3)]:
         prior = harmonic_prior(K)
-        acc = random_rule(n, K, rng)
+        acc = rng.random((n, K))
         assert np.max(np.abs(acc_to_rej(acc, prior) - _enumerated_rej(acc, prior.pmf))) <= 1e-12
 
 

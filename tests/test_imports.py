@@ -1,15 +1,20 @@
 """Start-up stays lean: numpy is the one third-party import outside the LP
 commands, and only those load the LP stack: stoppred.hardness and scipy's
 HiGHS extension, which hardness loads by its file path, so neither the
-scipy.optimize package nor scipy.sparse loads with it."""
+scipy.optimize package nor scipy.sparse loads with it.  And each module's
+``__all__`` lists exactly the public names that the module defines."""
 
+import ast
+import importlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import stoppred
 from stoppred import cli
 
 HIGHS = "scipy.optimize._highspy._core"
@@ -129,3 +134,41 @@ def test_lp_error_is_a_numerical_failure(capsys, monkeypatch):
     code = cli.main(["hardness-frontier", "--n", "2", "--k-support", "3", "--lambda-grid", "0,1"])
     assert code == cli.EXIT_NUMERICAL
     assert capsys.readouterr().err == "numerical failure: forced\n"
+
+
+PACKAGE = pathlib.Path(stoppred.__file__).parent
+ENTRY_POINTS = {"cli", "__main__"}  # command modules: they export commands, not names
+
+
+def _top_level(module):
+    """(__all__ as written, public names bound by def, class or assignment, names bound by relative imports)."""
+    listed, defined, imported = None, set(), set()
+    for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            if "__all__" in names:
+                listed = ast.literal_eval(node.value)
+            defined |= names
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported |= {alias.asname or alias.name for alias in node.names}
+    return listed, {name for name in defined if not name.startswith("_")}, imported
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem not in ENTRY_POINTS))
+def test_all_lists_exactly_the_public_names(module):
+    listed, defined, imported = _top_level(module)
+    assert listed is not None, f"{module} has no __all__"
+    assert len(set(listed)) == len(listed)
+    if module == "__init__":
+        # the package defines nothing itself; it lists what it imports from
+        # its modules, and the lazily served hardness
+        assert imported <= set(listed)
+        target = stoppred
+    else:
+        assert set(listed) == defined
+        target = importlib.import_module(f"stoppred.{module}")
+    for name in listed:
+        assert hasattr(target, name), f"stoppred.{module}.__all__ lists {name!r}, which does not resolve"

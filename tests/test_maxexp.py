@@ -5,6 +5,8 @@ from stoppred.analytics import _LTable, check_consistency_conditions
 from stoppred.maxexp import max_alpha_for_beta, solve_steps, tradeoff_curve_maxexp
 from stoppred.priors import E_INV
 
+from reference import unclamped_threshold
+
 
 def test_reference_operating_point():
     # beta = 0.01, m = 300 at the fixed consistency 0.6908 reproduces the
@@ -38,7 +40,7 @@ def test_validation():
 
 def test_endpoint_equalities_hold():
     sol = solve_steps(0.62, 0.15, 60)
-    table = _LTable(sol.unclamped_threshold())
+    table = _LTable(unclamped_threshold(sol))
     z = sol.grid
     worst = max(
         abs(table.value(z[i + 1]) - sol.alpha * sol.theta_values[i]) for i in range(sol.m)
@@ -48,7 +50,7 @@ def test_endpoint_equalities_hold():
 
 def test_l_is_nonincreasing_on_grid():
     sol = solve_steps(0.62, 0.15, 60)
-    table = _LTable(sol.unclamped_threshold())
+    table = _LTable(unclamped_threshold(sol))
     z = sol.grid
     values = [table.value(zi) for zi in z[1:]]
     assert np.all(np.diff(values) <= 1e-10)

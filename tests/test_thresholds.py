@@ -11,7 +11,6 @@ from stoppred.priors import E_INV, lambda_pair
 from stoppred.thresholds import (
     ThresholdFn,
     dynkin_threshold,
-    gm_asymptotic,
     gm_threshold,
     gm_threshold_value,
     robustify,
@@ -210,25 +209,22 @@ def test_gm_residual_on_grid():
             assert abs(_foc_series(v, n, s) - 1.0) <= 1e-9
 
 
-def test_gm_asymptotic_examples():
-    c = 0.80435
-    assert gm_asymptotic(0.0, 2, c) == pytest.approx(1.0 / 1.80435, abs=1e-12)
-    assert gm_asymptotic(0.5, 10**7, c) == pytest.approx(1.0, abs=1e-5)
-    with pytest.raises(ValueError):
-        gm_asymptotic(1.0, 5, c)
+def _gm_asymptotic(s, n, c):
+    """Large-n approximation 1 / (1 + c / ((n-1)(1-s))) of the best-choice level."""
+    return 1.0 / (1.0 + c / ((n - 1) * (1.0 - s)))
 
 
 def test_gm_asymptotic_matches_solver_at_large_n():
     c = solve_constant_c()
     v = gm_threshold_value(1000, 0.5)
-    assert abs(v - gm_asymptotic(0.5, 1000, c)) <= 1e-4
+    assert abs(v - _gm_asymptotic(0.5, 1000, c)) <= 1e-4
 
 
 def test_gm_asymptotic_error_vanishes_at_rate():
     c = solve_constant_c()
     errs = []
     for n in (100, 1000, 10000):
-        gap = abs(gm_threshold_value(n, 0.5) - gm_asymptotic(0.5, n, c))
+        gap = abs(gm_threshold_value(n, 0.5) - _gm_asymptotic(0.5, n, c))
         errs.append(n * gap)
     assert errs[0] > errs[1] > errs[2]
 
