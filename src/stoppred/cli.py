@@ -81,6 +81,9 @@ def parse_threshold(spec, m=300, robustify_beta=None):
     return theta
 
 
+MAX_GRID_POINTS = 10**6  # the most points an 'a:b:step' grid may have
+
+
 def parse_grid(text):
     """'a:b:step' inclusive grid, or a comma-separated list."""
     try:
@@ -90,8 +93,13 @@ def parse_grid(text):
                 raise ValueError("grid bounds and step must be finite")
             if step <= 0:
                 raise ValueError("step must be positive")
-            count = int(math.floor((b - a) / step + 1e-9)) + 1
-            return [a + i * step for i in range(count)]
+            # the grid has floor(span) + 1 points; span is inf when b - a overflows
+            span = (b - a) / step + 1e-9
+            if span < 0.0:
+                raise ValueError("grid is empty: its end lies below its start")
+            if not span < MAX_GRID_POINTS:
+                raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
+            return [a + i * step for i in range(math.floor(span) + 1)]
         grid = [float(x) for x in text.split(",")]
         if not all(-math.inf < x < math.inf for x in grid):
             raise ValueError("grid values must be finite")
@@ -241,13 +249,14 @@ def cmd_hardness_frontier(args):
             if name in objectives:
                 raise CliError(f"lambdas {_g(objectives[name][0])} and {_g(lam)} both map to the file {name}")
             objectives[name] = (lam, hardness.export_lp_objective(lam))
-        # only the objective depends on lambda, so the body is serialized once
-        body = hardness.export_lp_body(hardness.build_polytope(args.n, args.k_support, prior))
+        # only the objective depends on lambda, so the body is serialized and encoded once
+        body = hardness.export_lp_body(hardness.build_polytope(args.n, args.k_support, prior)).encode()
         os.makedirs(args.out, exist_ok=True)
         for name, (lam, objective) in objectives.items():
             header = manifest_line("hardness-frontier", {**params, "lambda": _g(lam)}).lstrip("# ")
-            with open(f"{args.out}/{name}", "w") as fh:
-                fh.write("\\ " + header + "\n" + objective + body)
+            with open(f"{args.out}/{name}", "wb") as fh:
+                fh.write(("\\ " + header + "\n" + objective).encode())
+                fh.write(body)
         print(f"wrote {len(objectives)} LP files to {args.out}")
         return EXIT_OK
     points = hardness.frontier_sweep(args.n, args.k_support, prior, lambdas)

@@ -35,7 +35,10 @@ linprog(method="highs") sets it up.  A lambda sweep hands HiGHS
 the polytope once and changes only those two costs, so each optimal basis
 stays primal feasible for the next lambda and the simplex resumes from it.
 export_lp writes the model with a lambda's objective in the standard LP
-text format for external solvers.
+text format for external solvers.  Its lambda-free part, export_lp_body,
+is array code: each distinct coefficient is formatted once, and the rows
+are joined from blocks of tokens, so building the text takes less than
+three times its own length of memory.
 """
 
 from __future__ import annotations
@@ -593,44 +596,78 @@ def export_lp_objective(lam):
 
 def export_lp_body(model):
     """The constraint and bounds sections of ``export_lp``, shared by every lambda."""
-    names = model.col_names
-    lines = ["Subject To"]
-    for row_names, a, rhs, sense in (
-        (model.row_names_ub, model.a_ub, model.b_ub, "<="),
-        (model.row_names_eq, model.a_eq, model.b_eq, "="),
-    ):
-        exprs = _row_exprs(a, names)
-        lines += [f" {name}: {expr} {sense} {_fmt(r)}" for name, expr, r in zip(row_names, exprs, rhs.tolist())]
-    lines.append("Bounds")
-    for name, (lo, hi) in zip(names, model.bounds):
-        if lo is None and hi is None:
-            lines.append(f" {name} free")
-        elif hi is None:
-            lines.append(f" {name} >= {_fmt(lo)}")
-        else:
-            lines.append(f" {_fmt(lo)} <= {name} <= {_fmt(hi)}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    cols = np.array(model.col_names, dtype=object)
+    return "".join(["Subject To\n", *_row_lines(model, cols), "Bounds\n", _bound_lines(model.bounds, cols), "End\n"])
 
 
-def _row_exprs(csr, names):
-    """Each row's terms as _terms_to_str writes them, for a whole Csr matrix.
+_BLOCK_ROWS = 4096  # rows joined into one string at a time, which bounds the token arrays
+# a term's sign token, indexed by 2 * (not the row's first term) + (negative); the
+# first one also closes the "name:" that opens its row
+_SIGNS = np.array([": ", ": - ", " + ", " - "], dtype=object)
 
-    Zero coefficients are dropped; a row's first term has no sign if it is
-    positive, and a row with no term left reads "0 <first column>".
+
+def _formatted(x, pattern):
+    """pattern % v for each entry v of x, as an object array.
+
+    Each distinct double is formatted once; doubles are told apart by their
+    bits, so -0.0 ("-0") stays apart from 0.0 ("0").  ``%.17g`` is ``_fmt``.
     """
-    keep = csr.data != 0.0
-    coefs = csr.data[keep]
-    # kept[r]: the terms kept before row r, so row r's terms are kept[r]:kept[r+1]
-    kept = np.concatenate(([0], np.cumsum(keep)))[csr.indptr]
-    first = np.zeros(len(coefs) + 1, dtype=bool)
-    first[kept] = True
-    signs = np.where(coefs < 0.0, "- ", np.where(first[:-1], "", "+ ")).tolist()
-    terms = [
-        f"{sign}{mag:.17g} {names[col]}"
-        for sign, mag, col in zip(signs, np.abs(coefs).tolist(), csr.indices[keep].tolist())
-    ]
-    return [
-        " ".join(terms[lo:hi]) if hi > lo else "0 " + names[csr.indices[start]]
-        for lo, hi, start in zip(kept[:-1].tolist(), kept[1:].tolist(), csr.indptr[:-1].tolist())
-    ]
+    bits, inverse = np.unique(np.ascontiguousarray(x, dtype=float).view(np.int64), return_inverse=True)
+    return np.array([pattern % v for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
+
+
+def _row_lines(model, cols):
+    """The lines " name: terms sense rhs" of the <= rows, then of the = rows.
+
+    Each string yielded holds _BLOCK_ROWS rows (the last one fewer).
+
+    Terms read as _terms_to_str writes them: zero coefficients are dropped, a
+    row's first term has no sign if it is positive, and a row with no term
+    left reads "0 <first column>".  A row is the tokens " ", its name, three
+    per term (sign, magnitude, column) and its end (sense, rhs, newline).
+    """
+    ub, eq = model.a_ub, model.a_eq
+    indptr = np.concatenate((ub.indptr, eq.indptr[1:] + ub.nnz))
+    data = np.concatenate((ub.data, eq.data))
+    keep = data != 0.0
+    kept = np.concatenate(([0], np.cumsum(keep)))[indptr]
+    # an all-zero row keeps its first entry, whose magnitude reads "0"
+    keep[indptr[:-1][kept[:-1] == kept[1:]]] = True
+    # kept[r]: the terms before row r, so row r's terms are kept[r]:kept[r+1]
+    kept = np.concatenate(([0], np.cumsum(keep)))[indptr]
+    coefs = data[keep]
+    signs = (coefs < 0.0).astype(np.int8) + 2
+    signs[kept[:-1]] -= 2  # each row's first term
+    mags = _formatted(np.abs(coefs), "%.17g ")
+    indices = np.concatenate((ub.indices, eq.indices))[keep]
+    del indptr, data, keep, coefs  # the blocks need only the term tokens' parts
+    names = np.array(model.row_names_ub + model.row_names_eq, dtype=object)
+    ends = np.concatenate((_formatted(model.b_ub, " <= %.17g\n"), _formatted(model.b_eq, " = %.17g\n")))
+    for lo in range(0, len(names), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(names))
+        a, b = kept[lo], kept[hi]
+        # at[i]: where row lo + i starts among the block's tokens; at[-1] is their count
+        at = 3 * (np.arange(hi - lo + 1) + kept[lo : hi + 1] - a)
+        tokens = np.empty(at[-1], dtype=object)
+        tokens[at[:-1]] = " "
+        tokens[at[:-1] + 1] = names[lo:hi]
+        tokens[at[1:] - 1] = ends[lo:hi]
+        # term j of the block, in its i-th row, opens at 3 (i + j) + 2
+        term_at = 3 * (np.repeat(np.arange(hi - lo), np.diff(kept[lo : hi + 1])) + np.arange(b - a)) + 2
+        tokens[term_at] = _SIGNS[signs[a:b]]
+        tokens[term_at + 1] = mags[a:b]
+        tokens[term_at + 2] = cols[indices[a:b]]
+        yield "".join(tokens.tolist())
+
+
+def _bound_lines(bounds, cols):
+    """The Bounds lines " lo <= name <= hi", " name >= lo" and " name free"."""
+    lo, hi = np.array(bounds, dtype=float).T  # a missing end reads as nan
+    boxed = ~np.isnan(hi)
+    tokens = np.empty((len(cols), 3), dtype=object)
+    tokens[:, 0] = np.where(boxed, _formatted(lo, " %.17g <= "), " ")
+    tokens[:, 1] = cols
+    tokens[:, 2] = np.where(
+        boxed, _formatted(hi, " <= %.17g\n"), np.where(np.isnan(lo), " free\n", _formatted(lo, " >= %.17g\n"))
+    )
+    return "".join(tokens.ravel().tolist())

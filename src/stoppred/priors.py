@@ -46,7 +46,8 @@ def _maybe_scalar(arr, scalar):
 
 def _check_probability(q):
     arr, scalar = _as_float_array(q)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    # written so that a NaN fails it
+    if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):
         raise ValueError("probability argument outside [0, 1]")
     return arr, scalar
 

@@ -82,31 +82,12 @@ class ThresholdFn:
 
     __call__ = eval
 
-    def generalized_inverse(self, x):
-        """inf{t : theta(t) < x}, or 1 if theta never drops below x."""
-        x = float(x)
-        below = np.flatnonzero(self.values < x)
-        if len(below) == 0:
-            return 1.0
-        i = below[0]
-        return 0.0 if i == 0 else float(self.breakpoints[i - 1])
-
     def pieces(self):
         """Iterate (a, b, value) with the piece covering (a, b]."""
         a = 0.0
         for b, v in zip(self.breakpoints, self.values):
             yield a, float(b), float(v)
             a = float(b)
-
-    def powered(self, exponent):
-        """Pointwise power of the levels, e.g. theta ** (1/n)."""
-        if exponent <= 0:
-            raise ValueError("exponent must be positive")
-        return ThresholdFn(self.breakpoints, self.values**exponent)
-
-    def clamped(self):
-        """Levels clipped into [0, 1]."""
-        return ThresholdFn(self.breakpoints, np.minimum(self.values, 1.0))
 
 
 def _simplify(breaks, vals):

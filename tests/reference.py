@@ -4,11 +4,15 @@ Each one is a second, independent route to a quantity the package computes
 (or, for parse_lp, reads back what it writes):
 
 * consistency_integral: L(z) piece by piece, against analytics._LTable;
+* generalized_inverse, powered and clamped: operations on a ThresholdFn
+  that only the tests' references and rules use;
 * unclamped_threshold: a solved recursion's raw step values, for _LTable;
 * run_bicriteria: the literal per-value loop, against engine.scan_first_accept;
 * rej_to_acc, rule_solution_vector and brute_force_win_prob: the inverse
   of hardness.acc_to_rej, a rule's point in the LP, and exhaustive
   enumeration, against the LP's win-probability rows;
+* export_lp_body_by_rows: hardness.export_lp_body's text written one
+  line at a time, with each coefficient formatted where it is written;
 * parse_lp: a reader for the LP text format of hardness.export_lp.
 """
 
@@ -51,6 +55,28 @@ def consistency_integral(theta, z):
             if b < 1.0:
                 total += (b - lo) * log_time_integral(v, b, 1.0)
     return total
+
+
+def generalized_inverse(theta, x):
+    """inf{t : theta(t) < x}, or 1 if theta never drops below x."""
+    x = float(x)
+    below = np.flatnonzero(theta.values < x)
+    if len(below) == 0:
+        return 1.0
+    i = below[0]
+    return 0.0 if i == 0 else float(theta.breakpoints[i - 1])
+
+
+def powered(theta, exponent):
+    """Pointwise power of theta's levels, e.g. theta ** (1/n)."""
+    if exponent <= 0:
+        raise ValueError("exponent must be positive")
+    return ThresholdFn(theta.breakpoints, theta.values**exponent)
+
+
+def clamped(theta):
+    """theta's levels clipped into [0, 1]."""
+    return ThresholdFn(theta.breakpoints, np.minimum(theta.values, 1.0))
 
 
 def unclamped_threshold(sol):
@@ -149,6 +175,51 @@ def brute_force_win_prob(acc, pmf, k):
     surv = np.concatenate([np.ones((len(seqs), 1)), surv[:, :-1]], axis=1)
     is_max = seqs == seqs.max(axis=1, keepdims=True)
     return float(np.sum(probs * np.sum(surv * fire * is_max, axis=1)))
+
+
+def export_lp_body_by_rows(model):
+    """The constraint and bounds sections of hardness.export_lp, row by row."""
+    names = model.col_names
+    lines = ["Subject To"]
+    for row_names, a, rhs, sense in (
+        (model.row_names_ub, model.a_ub, model.b_ub, "<="),
+        (model.row_names_eq, model.a_eq, model.b_eq, "="),
+    ):
+        exprs = _row_exprs(a, names)
+        lines += [f" {name}: {expr} {sense} {r:.17g}" for name, expr, r in zip(row_names, exprs, rhs.tolist())]
+    lines.append("Bounds")
+    for name, (lo, hi) in zip(names, model.bounds):
+        if lo is None and hi is None:
+            lines.append(f" {name} free")
+        elif hi is None:
+            lines.append(f" {name} >= {lo:.17g}")
+        else:
+            lines.append(f" {lo:.17g} <= {name} <= {hi:.17g}")
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
+def _row_exprs(csr, names):
+    """Each row's terms as hardness._terms_to_str writes them, for a whole Csr matrix.
+
+    Zero coefficients are dropped; a row's first term has no sign if it is
+    positive, and a row with no term left reads "0 <first column>".
+    """
+    keep = csr.data != 0.0
+    coefs = csr.data[keep]
+    # kept[r]: the terms kept before row r, so row r's terms are kept[r]:kept[r+1]
+    kept = np.concatenate(([0], np.cumsum(keep)))[csr.indptr]
+    first = np.zeros(len(coefs) + 1, dtype=bool)
+    first[kept] = True
+    signs = np.where(coefs < 0.0, "- ", np.where(first[:-1], "", "+ ")).tolist()
+    terms = [
+        f"{sign}{mag:.17g} {names[col]}"
+        for sign, mag, col in zip(signs, np.abs(coefs).tolist(), csr.indices[keep].tolist())
+    ]
+    return [
+        " ".join(terms[lo:hi]) if hi > lo else "0 " + names[csr.indices[start]]
+        for lo, hi, start in zip(kept[:-1].tolist(), kept[1:].tolist(), csr.indptr[:-1].tolist())
+    ]
 
 
 _TERM_RE = re.compile(r"([+-])?\s*(\d[\d.eE+-]*)?\s*([A-Za-z]\w*)")

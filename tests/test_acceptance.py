@@ -31,7 +31,7 @@ import pytest
 from stoppred import analytics, engine, hardness, maxexp, thresholds
 from stoppred.priors import E_INV, Uniform, lambda_pair, neg_lambda_log
 
-from reference import brute_force_win_prob, rule_solution_vector
+from reference import brute_force_win_prob, powered, rule_solution_vector
 
 UNIT = Uniform(0.0, 1.0)
 
@@ -92,7 +92,7 @@ def test_criterion_04_maxexp_golden_point_as_stated(maxexp_solution_001):
     # rule's tail ratio is about 0.699, so alpha overstated by 0.006 sits
     # 0.004 above it, about 9.6 se at small y with this many trials
     n, trials = 50, 1_500_000
-    theta = sol.threshold().powered(1.0 / n)
+    theta = powered(sol.threshold(), 1.0 / n)
     accepted, _ = engine.accepted_value_samples(UNIT, UNIT, theta, n, trials, 401)
     levels = accepted**n
     ys = np.arange(1, 20) / 20.0

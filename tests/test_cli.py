@@ -94,9 +94,9 @@ def test_hardness_frontier_export(tmp_path, capsys):
     # the shared body makes each file the one-model export at its lambda
     model = hardness.build_polytope(2, 3, hardness.harmonic_prior(3))
     for path, lam in zip(files, [0.0, 1.0]):
-        head, text = path.read_text().split("\n", 1)
-        assert head.startswith("\\ command=hardness-frontier") and f" lambda={lam:.17g} " in head
-        assert text == hardness.export_lp(model, lam)
+        head, text = path.read_bytes().split(b"\n", 1)
+        assert head.startswith(b"\\ command=hardness-frontier") and f" lambda={lam:.17g} ".encode() in head
+        assert text == hardness.export_lp(model, lam).encode()
 
 
 @pytest.mark.parametrize(
@@ -146,6 +146,25 @@ def test_grid_parsing():
     assert cli.parse_grid("0.1,0.2") == [0.1, 0.2]
     with pytest.raises(cli.CliError):
         cli.parse_grid("0:1:-1")
+    with pytest.raises(cli.CliError, match="grid is empty"):
+        cli.parse_grid("1:0:0.1")
+    assert cli.parse_grid("0.5:0.5:1") == [0.5]
+
+
+def test_grid_count_is_capped_before_the_grid_is_built(monkeypatch):
+    def no_grid(count):
+        raise AssertionError(f"a grid of {count} points was started")
+
+    # parse_grid builds its grid from range(count), so this stops any build
+    monkeypatch.setattr(cli, "range", no_grid, raising=False)
+    for text in ("0:1e6:1", "0:1:1e-300", "-1e308:1e308:1"):
+        with pytest.raises(cli.CliError, match="grid has more than 1000000 points"):
+            cli.parse_grid(text)
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 5)
+    assert cli.parse_grid("0:4:1") == [0.0, 1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(cli.CliError, match="grid has more than 5 points"):
+        cli.parse_grid("0:5:1")
 
 
 def test_prior_spec_parsing(tmp_path):
@@ -173,6 +192,10 @@ SIM = ["simulate", "--real", "uniform:0,1", "--predicted", "uniform:0,1", "--thr
         ["maxexp-curve", "--beta", "0.1", "--m", "1"],
         ["thresholds", "--threshold", "gm:5", "--robustify", "0.9"],
         ["hardness-frontier", "--n", "3", "--k-support", "8", "--lambda-grid", "0:2:0.5"],
+        # empty and runaway grids
+        ["hardness-frontier", "--n", "2", "--k-support", "3", "--lambda-grid", "1:0:0.1"],
+        ["maxprob-curve", "--beta-grid", "0.3:0:0.1"],
+        ["maxexp-curve", "--beta-grid", "0:0.3:1e-300"],
         # non-finite numbers
         ["simulate", "--real", "uniform:0,inf"] + SIM[3:] + ["--n", "5", "--trials", "10"],
         ["simulate", "--real", "exp:inf"] + SIM[3:] + ["--n", "5", "--trials", "10"],
@@ -217,6 +240,10 @@ UNIT = priors.Uniform(0.0, 1.0)
         pytest.param(lambda: analytics.googol_win_formula([math.nan], DYNKIN), id="googol-formula-lone-nan"),
         pytest.param(lambda: engine.googol_win_mc([0.2, math.nan, 0.7], UNIT, DYNKIN, 1000, 1), id="googol-mc-nan"),
         pytest.param(lambda: priors.DiscretePrior([math.nan, 0.5, 0.5]), id="discrete-prior-nan"),
+        pytest.param(lambda: UNIT.quantile(math.nan), id="uniform-quantile-nan"),
+        pytest.param(lambda: priors.Exponential(1.0).quantile([0.5, math.nan]), id="exponential-quantile-nan"),
+        pytest.param(lambda: priors.DiscretePrior([0.5, 0.5]).quantile(math.nan), id="discrete-quantile-nan"),
+        pytest.param(lambda: priors.PowerRoot(UNIT, 3).quantile(math.nan), id="power-root-quantile-nan"),
         pytest.param(lambda: hardness.acc_to_rej([[math.nan, 0.5]], [0.5, 0.5]), id="acc-to-rej-nan"),
         # +-inf and NaN integer arguments, on which int(x) raises OverflowError
         pytest.param(lambda: analytics.win_probability(DYNKIN, math.inf), id="win-probability-inf"),

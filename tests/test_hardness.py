@@ -1,6 +1,8 @@
 import hashlib
 import os
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,13 +19,14 @@ from stoppred.hardness import (
     build_polytope,
     delta_table,
     export_lp,
+    export_lp_body,
     frontier_sweep,
     harmonic_prior,
     solve_lp,
     win_prob_by_truncation,
 )
 
-from reference import brute_force_win_prob, parse_lp, rej_to_acc, rule_solution_vector
+from reference import brute_force_win_prob, export_lp_body_by_rows, parse_lp, rej_to_acc, rule_solution_vector
 
 DESK_SIZES = [(2, 2), (3, 3), (4, 3)]
 
@@ -567,6 +570,42 @@ def test_export_golden():
     text = export_lp(build_polytope(4, 6, w / w.sum()), 0.3)
     assert " slo_2_3: 0 y_1_3 <= 0\n" in text
     assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_GOLDEN
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    weights=st.lists(_MASS, min_size=1, max_size=10),
+    block=st.integers(1, 9),
+    data=st.data(),
+)
+@example(n=4, weights=[5.0, 2.0, 1e-290, 2.5, 0.5, 3.0], block=5, data=None)  # EXPORT_GOLDEN's model
+@example(n=15, weights=(1.0 / np.arange(1, 129)).tolist(), block=hardness._BLOCK_ROWS, data=None)
+def test_export_lp_body_matches_the_row_by_row_reference(n, weights, block, data):
+    pmf = np.array(weights) / np.sum(weights)
+    model = build_polytope(n, len(pmf), pmf)
+    if data is not None:
+        # some right-hand sides negated: a zero becomes -0.0, which reads "-0"
+        b_ub, b_eq = model.b_ub, model.b_eq
+        b_ub = np.where(data.draw(arrays(bool, len(b_ub)), label="flip_ub"), -b_ub, b_ub)
+        b_eq = np.where(data.draw(arrays(bool, len(b_eq)), label="flip_eq"), -b_eq, b_eq)
+        model = replace(model, b_ub=b_ub, b_eq=b_eq)
+    # blocks of a few rows, so that rows, terms and partial blocks meet every block boundary
+    with mock.patch.object(hardness, "_BLOCK_ROWS", block):
+        assert export_lp_body(model) == export_lp_body_by_rows(model)
+
+
+def test_export_lp_body_peak_memory():
+    # rows are joined a block at a time and each distinct coefficient is
+    # formatted once, so the peak stays within three lengths of the text
+    model = build_polytope(20, 512, harmonic_prior(512))
+    tracemalloc.start()
+    try:
+        body = export_lp_body(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(body)
 
 
 def test_build_validates():

