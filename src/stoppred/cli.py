@@ -81,7 +81,13 @@ def parse_threshold(spec, m=300, robustify_beta=None):
     return theta
 
 
-MAX_GRID_POINTS = 10**6  # the most points an 'a:b:step' grid may have
+MAX_GRID_POINTS = 10**6  # the most points an 'a:b:step' grid or an --m grid may have
+
+
+def _check_m(m):
+    """Fail before any work when --m asks for a grid of more than MAX_GRID_POINTS pieces."""
+    if m > MAX_GRID_POINTS:
+        raise CliError(f"--m {m} is more than {MAX_GRID_POINTS} grid points")
 
 
 def parse_grid(text):
@@ -152,6 +158,7 @@ def _g(x):
 
 
 def cmd_maxexp_curve(args):
+    _check_m(args.m)
     _check_out(args.out)
     _check_out(args.dump_thresholds, creates_dir=True)
     betas = parse_grid(args.beta_grid) if args.beta_grid else [args.beta]
@@ -191,6 +198,7 @@ def cmd_maxprob_curve(args):
 
 
 def cmd_thresholds(args):
+    _check_m(args.m)
     _check_out(args.out)
     theta = parse_threshold(args.threshold, args.m, args.robustify)
     head = manifest_line(
@@ -201,6 +209,7 @@ def cmd_thresholds(args):
 
 
 def cmd_simulate(args):
+    _check_m(args.m)
     _check_out(args.out)
     real = parse_prior(args.real)
     predicted = parse_prior(args.predicted)

@@ -27,8 +27,11 @@ unscaled rows carry factors down to F(1)^n, which sink below solver
 tolerances at full scale), and the robustness rows read beta <= b_l.
 The polytope does not depend on lambda, so build_polytope takes none: lambda
 enters only as the alpha and beta costs, passed to solve_lp, frontier_sweep
-or export_lp.  Its matrices are Csr, a compressed-sparse-row triple with
-the matrix-vector product the solution check needs.  Solving goes through
+or export_lp.  The model is held in the form HiGHS takes: one Csr matrix
+(a compressed-sparse-row triple with the matrix-vector product the
+solution check needs) with the <= rows first and the = rows after them,
+lower and upper bounds on each row (-inf below a <= row, both equal on an
+= row), and lower and upper bounds on each column.  Solving goes through
 the HiGHS binding bundled with scipy, loaded from its extension file alone
 (scipy.optimize's package imports are not run) and set up as
 linprog(method="highs") sets it up.  A lambda sweep hands HiGHS
@@ -193,14 +196,13 @@ class PolytopeModel:
     n: int
     K: int
     pmf: np.ndarray
-    a_ub: Csr
-    b_ub: np.ndarray
-    a_eq: Csr
-    b_eq: np.ndarray
-    bounds: list
+    a: Csr  # the <= rows (slo, sup, cons, rob), then the = rows (pdef, vdef, bdef)
+    row_lower: np.ndarray  # -inf on a <= row, row_upper on an = row
+    row_upper: np.ndarray
+    col_lower: np.ndarray  # -inf on a column without a lower bound
+    col_upper: np.ndarray  # inf on a column without an upper bound
     col_names: list
-    row_names_ub: list
-    row_names_eq: list
+    row_names: list
 
     @property
     def num_vars(self):
@@ -214,23 +216,25 @@ def _slots(shape, cols, vals, present):
     the grid ``shape``) and slot j its j-th possible entry: cols[j], vals[j]
     and present[j], each broadcast over the grid.  A slot whose present flag
     is false (say, the l - 1 term at l = 1) is not an entry of that row.
+    The slots of each row are then put in column order.
     """
 
     def table(parts):
         return np.stack([np.broadcast_to(x, shape) for x in parts], axis=-1).reshape(-1, len(parts))
 
-    return table(cols), table(vals), table(present)
+    cols = table(cols)
+    order = np.argsort(cols, axis=1, kind="stable")
+    return tuple(np.take_along_axis(x, order, axis=1) for x in (cols, table(vals), table(present)))
 
 
 def _csr_from_slots(families, ncols):
-    """Csr matrix of the families' rows in turn, entries in column order."""
+    """Csr matrix of the families' rows in turn."""
     counts = np.concatenate([m.sum(axis=1) for _, _, m in families])
     indptr = np.zeros(len(counts) + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
     indices = np.concatenate([cols[m] for cols, _, m in families]).astype(np.int32)
     data = np.concatenate([vals[m] for _, vals, m in families])
-    order = np.lexsort((indices, np.repeat(np.arange(len(counts)), counts)))
-    return Csr(indptr, indices[order], data[order], (len(counts), ncols))
+    return Csr(indptr, indices, data, (len(counts), ncols))
 
 
 def build_polytope(n, K, pmf):
@@ -296,25 +300,7 @@ def build_polytope(n, K, pmf):
     # v_l = sum_t [hazard_l p_{t-1,l} + D[t-1,l] ratio_l y_{t-1,l} - D[t,l] y_{t,l}]
     # gathered per tau: y_{tau,l} carries D[tau,l] (1 - ratio_l) below tau = n
     vcoef = np.vstack((D[1:n] - D[1:n] * ratio, D[n:]))
-    a_eq = _csr_from_slots(
-        [
-            # pdef: p_{t,l} = ratio_l^t p_{t,l-1} + D[t,l] y_{t,l}
-            _slots((n - 1, K), (p, y[: n - 1], p - 1), (1.0, -D[1:n], -R[: n - 1]), (True, True, later_level)),
-            # vdef, with the t = 1 terms (p_{0,l} = 1) on the right-hand side
-            _slots((K,), (v, *p, *y), (1.0, *[-hazard] * (n - 1), *vcoef), (True,) * 2 * n),
-            # bdef: b_l = ratio_l^n b_{l-1} + v_l
-            _slots((K,), (b, v, b - 1), (1.0, -1.0, -R[n - 1]), (True, True, later_level)),
-        ],
-        nvars,
-    )
-    b_eq = np.concatenate((np.zeros((n - 1) * K), hazard, np.zeros(K)))
-    row_names_eq = (
-        [f"pdef_{t}_{l}" for t in range(1, n) for l in range(1, K + 1)]
-        + [f"vdef_{l}" for l in range(1, K + 1)]
-        + [f"bdef_{l}" for l in range(1, K + 1)]
-    )
-
-    a_ub = _csr_from_slots(
+    a = _csr_from_slots(
         [
             # slo: D[t-1,l] ratio_l y_{t-1,l} <= D[t,l] y_{t,l}
             _slots((n, K), (y, y - K), (-D[1:], D[:n] * ratio), (True, later_step)),
@@ -326,35 +312,45 @@ def build_polytope(n, K, pmf):
             # cons: alpha <= b_K, and rob: beta <= b_k for every k
             _slots((1,), (ialpha, b[-1]), (1.0, -1.0), (True, True)),
             _slots((K,), (ibeta, b), (1.0, -1.0), (True, True)),
+            # pdef: p_{t,l} = ratio_l^t p_{t,l-1} + D[t,l] y_{t,l}
+            _slots((n - 1, K), (p, y[: n - 1], p - 1), (1.0, -D[1:n], -R[: n - 1]), (True, True, later_level)),
+            # vdef, with the t = 1 terms (p_{0,l} = 1) on the right-hand side
+            _slots((K,), (v, *p, *y), (1.0, *[-hazard] * (n - 1), *vcoef), (True,) * 2 * n),
+            # bdef: b_l = ratio_l^n b_{l-1} + v_l
+            _slots((K,), (b, v, b - 1), (1.0, -1.0, -R[n - 1]), (True, True, later_level)),
         ],
         nvars,
     )
-    b_ub = np.concatenate((np.zeros(n * K), hazard, np.zeros((n - 1) * K), [0.0], np.zeros(K)))
-    row_names_ub = (
+    row_names = (
         [f"slo_{t}_{l}" for t in range(1, n + 1) for l in range(1, K + 1)]
         + [f"sup_{t}_{l}" for t in range(1, n + 1) for l in range(1, K + 1)]
         + ["cons"]
         + [f"rob_{k}" for k in range(1, K + 1)]
     )
-
-    bounds = (
-        [(0.0, 1.0)] * (n * K)
-        + [(0.0, 1.0)] * ((n - 1) * K)
-        + [(None, None)] * (2 * K)
-        + [(None, None), (None, None)]
+    num_ub = len(row_names)
+    row_names += (
+        [f"pdef_{t}_{l}" for t in range(1, n) for l in range(1, K + 1)]
+        + [f"vdef_{l}" for l in range(1, K + 1)]
+        + [f"bdef_{l}" for l in range(1, K + 1)]
     )
+    row_upper = np.concatenate(
+        (np.zeros(n * K), hazard, np.zeros((n - 1) * K), [0.0], np.zeros(K))  # the <= rows
+        + (np.zeros((n - 1) * K), hazard, np.zeros(K))  # the = rows
+    )
+    row_lower = row_upper.copy()
+    row_lower[:num_ub] = -np.inf
+    boxed = np.arange(nvars) < (2 * n - 1) * K  # y and p lie in [0, 1]; v, b, alpha and beta are free
     return PolytopeModel(
         n=n,
         K=K,
         pmf=pmf,
-        a_ub=a_ub,
-        b_ub=b_ub,
-        a_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
+        a=a,
+        row_lower=row_lower,
+        row_upper=row_upper,
+        col_lower=np.where(boxed, 0.0, -np.inf),
+        col_upper=np.where(boxed, 1.0, np.inf),
         col_names=col_names,
-        row_names_ub=row_names_ub,
-        row_names_eq=row_names_eq,
+        row_names=row_names,
     )
 
 
@@ -371,53 +367,43 @@ class LpError(ArithmeticError):
     """The LP solve failed or its solution did not check out."""
 
 
-def _colwise(model):
-    """The start, index and value arrays of a_ub stacked over a_eq, column by column.
+def _colwise(a):
+    """The start, index and value arrays of the Csr matrix a, column by column.
 
     Within a column the entries keep their row order, as in scipy's
-    ``vstack((a_ub, a_eq)).tocsc()``.
+    ``csr_matrix.tocsc()``.
     """
-    a_ub, a_eq = model.a_ub, model.a_eq
-    cols = np.concatenate((a_ub.indices, a_eq.indices))
-    order = np.argsort(cols, kind="stable")
-    start = np.zeros(model.num_vars + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=model.num_vars), out=start[1:])
-    index = np.concatenate((a_ub.rows(), a_eq.rows() + a_ub.shape[0]))[order]
-    value = np.concatenate((a_ub.data, a_eq.data))[order]
-    return start, index, value
+    order = np.argsort(a.indices, kind="stable")
+    start = np.zeros(a.shape[1] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(a.indices, minlength=a.shape[1]), out=start[1:])
+    return start, a.rows()[order], a.data[order]
 
 
 def _highs_instance(model):
     """A HiGHS instance holding the model at zero cost, with linprog(method="highs")'s options."""
-    start, index, value = _colwise(model)
-    lower, upper = np.array(
-        [(-np.inf if lo is None else lo, np.inf if hi is None else hi) for lo, hi in model.bounds]
-    ).T
     lp = _highs.HighsLp()
+    lp.num_row_ = lp.a_matrix_.num_row_ = model.a.shape[0]
     lp.num_col_ = lp.a_matrix_.num_col_ = model.num_vars
-    lp.num_row_ = lp.a_matrix_.num_row_ = model.a_ub.shape[0] + model.a_eq.shape[0]
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = start
-    lp.a_matrix_.index_ = index
-    lp.a_matrix_.value_ = value
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = _colwise(model.a)
     lp.col_cost_ = np.zeros(model.num_vars)
-    lp.col_lower_ = lower
-    lp.col_upper_ = upper
-    lp.row_lower_ = np.concatenate((np.full(len(model.b_ub), -np.inf), model.b_eq))
-    lp.row_upper_ = np.concatenate((model.b_ub, model.b_eq))
+    lp.col_lower_ = model.col_lower
+    lp.col_upper_ = model.col_upper
+    lp.row_lower_ = model.row_lower
+    lp.row_upper_ = model.row_upper
     highs = _highs._Highs()
     for option, value in (("presolve", "on"), ("output_flag", False), ("log_to_console", False)):
         highs.setOptionValue(option, value)
     highs.passModel(lp)
-    return highs, lower, upper
+    return highs
 
 
-def _read_solution(highs, model, lam, lower, upper):
+def _read_solution(highs, model, lam):
     """Check the solve HiGHS just finished and read back the envelope point.
 
     alpha and beta are recomputed from the optimal rejection table (they are
     the win-probability expressions at y*), which pins them even when their
-    objective weight is 0.
+    objective weight is 0.  Both checks are written so that a NaN fails them.
     """
     status = highs.getModelStatus()
     if status == _highs.HighsModelStatus.kUnbounded:
@@ -427,20 +413,17 @@ def _read_solution(highs, model, lam, lower, upper):
     if status != _highs.HighsModelStatus.kOptimal:
         raise LpError(f"LP solve failed: {highs.modelStatusToString(status)}")
     x = np.array(highs.getSolution().col_value)
-    resid = max(
-        float(np.max(model.a_ub @ x - model.b_ub, initial=0.0)),
-        float(np.max(np.abs(model.a_eq @ x - model.b_eq), initial=0.0)),
-        float(np.max(lower - x, initial=0.0)),
-        float(np.max(x - upper, initial=0.0)),
-    )
-    if resid > FEASIBILITY_TOL:
+    ax = model.a @ x
+    excess = (model.row_lower - ax, ax - model.row_upper, model.col_lower - x, x - model.col_upper)
+    resid = float(np.max(np.concatenate(excess), initial=0.0))
+    if not resid <= FEASIBILITY_TOL:
         raise LpError(f"solution violates constraints by {resid:.3e}")
     y = x[: model.n * model.K].reshape(model.n, model.K)
     exprs = win_prob_by_truncation(y, model.pmf)
     alpha = float(exprs[-1])
     beta = float(exprs.min())
     objective = -highs.getInfo().objective_function_value
-    if abs(lam * alpha + (1.0 - lam) * beta - objective) > 1e-6:
+    if not abs(lam * alpha + (1.0 - lam) * beta - objective) <= 1e-6:
         raise LpError("recomputed envelope point disagrees with the LP objective")
     return LpSolution(lam=lam, objective=objective, alpha=alpha, beta=beta, y=y)
 
@@ -454,7 +437,7 @@ def _solve_lambdas(model, lambdas):
     primal simplex; the first, cold run keeps linprog's default strategy.
     Returns, in the given order, an LpSolution or the LpError that voids it.
     """
-    highs, lower, upper = _highs_instance(model)
+    highs = _highs_instance(model)
     cols = np.array([model.num_vars - 2, model.num_vars - 1], dtype=np.int32)
     results = []
     for lam in lambdas:
@@ -462,7 +445,7 @@ def _solve_lambdas(model, lambdas):
         highs.run()
         highs.setOptionValue("simplex_strategy", 4)  # primal, from the second run on
         try:
-            results.append(_read_solution(highs, model, lam, lower, upper))
+            results.append(_read_solution(highs, model, lam))
         except LpError as exc:
             results.append(exc)
     return results
@@ -566,23 +549,6 @@ def win_prob_by_truncation(rej, pmf):
 # LP text format
 
 
-def _fmt(x):
-    return f"{x:.17g}"
-
-
-def _terms_to_str(pairs):
-    parts = []
-    for name, coef in pairs:
-        if coef == 0.0:
-            continue
-        sign = "-" if coef < 0.0 else "+"
-        if not parts and sign == "+":
-            parts.append(f"{_fmt(coef)} {name}")
-        else:
-            parts.append(f"{sign} {_fmt(abs(coef))} {name}")
-    return " ".join(parts) if parts else "0 " + pairs[0][0]
-
-
 def export_lp(model, lam):
     """Serialize the LP at lambda lam in the standard LP text format."""
     return export_lp_objective(lam) + export_lp_body(model)
@@ -591,13 +557,14 @@ def export_lp(model, lam):
 def export_lp_objective(lam):
     """The objective section of ``export_lp``, the only part that depends on lambda."""
     lam = _check_lambda(lam)
-    return f"Maximize\n obj: {_terms_to_str([('alpha', lam), ('beta', 1.0 - lam)])}\n"
+    terms = [f"{coef:.17g} {name}" for name, coef in (("alpha", lam), ("beta", 1.0 - lam)) if coef != 0.0]
+    return f"Maximize\n obj: {' + '.join(terms)}\n"
 
 
 def export_lp_body(model):
     """The constraint and bounds sections of ``export_lp``, shared by every lambda."""
     cols = np.array(model.col_names, dtype=object)
-    return "".join(["Subject To\n", *_row_lines(model, cols), "Bounds\n", _bound_lines(model.bounds, cols), "End\n"])
+    return "".join(["Subject To\n", *_row_lines(model, cols), "Bounds\n", _bound_lines(model, cols), "End\n"])
 
 
 _BLOCK_ROWS = 4096  # rows joined into one string at a time, which bounds the token arrays
@@ -610,25 +577,25 @@ def _formatted(x, pattern):
     """pattern % v for each entry v of x, as an object array.
 
     Each distinct double is formatted once; doubles are told apart by their
-    bits, so -0.0 ("-0") stays apart from 0.0 ("0").  ``%.17g`` is ``_fmt``.
+    bits, so -0.0 ("-0") stays apart from 0.0 ("0").
     """
     bits, inverse = np.unique(np.ascontiguousarray(x, dtype=float).view(np.int64), return_inverse=True)
     return np.array([pattern % v for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
 
 
 def _row_lines(model, cols):
-    """The lines " name: terms sense rhs" of the <= rows, then of the = rows.
+    """The lines " name: terms sense rhs" of the rows, in order.
 
     Each string yielded holds _BLOCK_ROWS rows (the last one fewer).
 
-    Terms read as _terms_to_str writes them: zero coefficients are dropped, a
-    row's first term has no sign if it is positive, and a row with no term
-    left reads "0 <first column>".  A row is the tokens " ", its name, three
-    per term (sign, magnitude, column) and its end (sense, rhs, newline).
+    Zero coefficients are dropped, a row's first term has no sign if it is
+    positive, and a row with no term left reads "0 <first column>".  The
+    sense is "=" where the row's bounds are equal and "<=" elsewhere, and
+    the right-hand side is the row's upper bound.  A row is the tokens " ",
+    its name, three per term (sign, magnitude, column) and its end (sense,
+    rhs, newline).
     """
-    ub, eq = model.a_ub, model.a_eq
-    indptr = np.concatenate((ub.indptr, eq.indptr[1:] + ub.nnz))
-    data = np.concatenate((ub.data, eq.data))
+    indptr, data = model.a.indptr, model.a.data
     keep = data != 0.0
     kept = np.concatenate(([0], np.cumsum(keep)))[indptr]
     # an all-zero row keeps its first entry, whose magnitude reads "0"
@@ -639,10 +606,12 @@ def _row_lines(model, cols):
     signs = (coefs < 0.0).astype(np.int8) + 2
     signs[kept[:-1]] -= 2  # each row's first term
     mags = _formatted(np.abs(coefs), "%.17g ")
-    indices = np.concatenate((ub.indices, eq.indices))[keep]
-    del indptr, data, keep, coefs  # the blocks need only the term tokens' parts
-    names = np.array(model.row_names_ub + model.row_names_eq, dtype=object)
-    ends = np.concatenate((_formatted(model.b_ub, " <= %.17g\n"), _formatted(model.b_eq, " = %.17g\n")))
+    indices = model.a.indices[keep]
+    del keep, coefs  # the blocks need only the term tokens' parts
+    names = np.array(model.row_names, dtype=object)
+    ends = _formatted(model.row_upper, " <= %.17g\n")
+    eq = model.row_lower == model.row_upper
+    ends[eq] = _formatted(model.row_upper[eq], " = %.17g\n")
     for lo in range(0, len(names), _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, len(names))
         a, b = kept[lo], kept[hi]
@@ -660,14 +629,14 @@ def _row_lines(model, cols):
         yield "".join(tokens.tolist())
 
 
-def _bound_lines(bounds, cols):
+def _bound_lines(model, cols):
     """The Bounds lines " lo <= name <= hi", " name >= lo" and " name free"."""
-    lo, hi = np.array(bounds, dtype=float).T  # a missing end reads as nan
-    boxed = ~np.isnan(hi)
+    lo, hi = model.col_lower, model.col_upper
+    boxed = hi < np.inf
     tokens = np.empty((len(cols), 3), dtype=object)
     tokens[:, 0] = np.where(boxed, _formatted(lo, " %.17g <= "), " ")
     tokens[:, 1] = cols
     tokens[:, 2] = np.where(
-        boxed, _formatted(hi, " <= %.17g\n"), np.where(np.isnan(lo), " free\n", _formatted(lo, " >= %.17g\n"))
+        boxed, _formatted(hi, " <= %.17g\n"), np.where(lo == -np.inf, " free\n", _formatted(lo, " >= %.17g\n"))
     )
     return "".join(tokens.ravel().tolist())

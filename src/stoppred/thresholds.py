@@ -21,7 +21,6 @@ from functools import lru_cache
 import numpy as np
 
 from ._roots import brentq
-from .priors import lambda_pair
 
 __all__ = [
     "ThresholdFn",
@@ -80,8 +79,6 @@ class ThresholdFn:
         out = self.values[idx]
         return float(out) if scalar else out
 
-    __call__ = eval
-
     def pieces(self):
         """Iterate (a, b, value) with the piece covering (a, b]."""
         a = 0.0
@@ -122,14 +119,12 @@ def single_threshold(n):
 
 
 def robustify(theta, pair):
-    """Force the level to 1 up to lambda1 and to 0 beyond lambda2.
+    """Force the level to 1 up to pair.lambda1 and to 0 beyond pair.lambda2 (pair: a LambdaPair).
 
     In between, the input levels are kept (clamped to at most 1).  With
     lambda1 = lambda2 the middle band is empty and the result is the
     classical wait-then-accept rule at that point.
     """
-    if isinstance(pair, (int, float)):
-        pair = lambda_pair(pair)
     lam1, lam2 = pair.lambda1, pair.lambda2
     breaks, vals = [], []
     if lam1 > 0.0:

@@ -181,26 +181,24 @@ def export_lp_body_by_rows(model):
     """The constraint and bounds sections of hardness.export_lp, row by row."""
     names = model.col_names
     lines = ["Subject To"]
-    for row_names, a, rhs, sense in (
-        (model.row_names_ub, model.a_ub, model.b_ub, "<="),
-        (model.row_names_eq, model.a_eq, model.b_eq, "="),
-    ):
-        exprs = _row_exprs(a, names)
-        lines += [f" {name}: {expr} {sense} {r:.17g}" for name, expr, r in zip(row_names, exprs, rhs.tolist())]
+    exprs = _row_exprs(model.a, names)
+    for name, expr, lo, hi in zip(model.row_names, exprs, model.row_lower.tolist(), model.row_upper.tolist()):
+        sense = "=" if lo == hi else "<="
+        lines.append(f" {name}: {expr} {sense} {hi:.17g}")
     lines.append("Bounds")
-    for name, (lo, hi) in zip(names, model.bounds):
-        if lo is None and hi is None:
-            lines.append(f" {name} free")
-        elif hi is None:
-            lines.append(f" {name} >= {lo:.17g}")
-        else:
+    for name, lo, hi in zip(names, model.col_lower.tolist(), model.col_upper.tolist()):
+        if hi < np.inf:
             lines.append(f" {lo:.17g} <= {name} <= {hi:.17g}")
+        elif lo == -np.inf:
+            lines.append(f" {name} free")
+        else:
+            lines.append(f" {name} >= {lo:.17g}")
     lines.append("End")
     return "\n".join(lines) + "\n"
 
 
 def _row_exprs(csr, names):
-    """Each row's terms as hardness._terms_to_str writes them, for a whole Csr matrix.
+    """Each row's terms as the LP text format writes them, for a whole Csr matrix.
 
     Zero coefficients are dropped; a row's first term has no sign if it is
     positive, and a row with no term left reads "0 <first column>".
@@ -274,11 +272,11 @@ def parse_lp(text):
             rows[name.strip()] = (_parse_terms(expr), sense, float(rhs))
         elif section == "bounds":
             if line.endswith(" free"):
-                bounds[line[:-5].strip()] = (None, None)
+                bounds[line[:-5].strip()] = (-np.inf, np.inf)
             elif "<=" in line:
                 lo, name, hi = line.split("<=")
                 bounds[name.strip()] = (float(lo), float(hi))
             elif ">=" in line:
                 name, lo = line.split(">=")
-                bounds[name.strip()] = (float(lo), None)
+                bounds[name.strip()] = (float(lo), np.inf)
     return {"objective": objective, "rows": rows, "bounds": bounds}

@@ -167,6 +167,25 @@ def test_grid_count_is_capped_before_the_grid_is_built(monkeypatch):
         cli.parse_grid("0:5:1")
 
 
+def test_m_is_capped_before_any_work(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("an --m grid was started")
+
+    monkeypatch.setattr(thresholds, "gm_threshold", never)
+    monkeypatch.setattr(maxexp, "solve_steps", never)
+    m = str(cli.MAX_GRID_POINTS + 1)
+    simulate = ("simulate", "--real", "uniform:0,1", "--predicted", "uniform:0,1", "--threshold", "gm:5", "--n", "5")
+    for argv in (("maxexp-curve", "--beta", "0.01"), ("thresholds", "--threshold", "gm:5"), simulate):
+        code, out, err = run_cli(capsys, *argv, "--m", m)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == f"error: --m {m} is more than 1000000 grid points\n"
+    # --m at the cap gets through to the work
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 5)
+    for argv in (("maxexp-curve", "--beta", "0.01"), ("thresholds", "--threshold", "gm:5"), simulate):
+        with pytest.raises(AssertionError, match="an --m grid was started"):
+            cli.main([*argv, "--m", "5"])
+
+
 def test_prior_spec_parsing(tmp_path):
     assert cli.parse_prior("uniform:2,3").cdf(2.5) == 0.5
     assert cli.parse_prior("exp:2.0").quantile(0.0) == 0.0

@@ -2,6 +2,7 @@ import hashlib
 import os
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -65,6 +66,12 @@ def test_oracle_equivalence_random_rules():
                 assert abs(brute_force_win_prob(acc, prior, k) - exprs[k - 1]) <= 1e-9
 
 
+def _row_violation(model, x):
+    """How far x lies outside the row bounds: above a <= row, or off an = row in either direction."""
+    ax = model.a @ x
+    return np.max(np.maximum(model.row_lower - ax, ax - model.row_upper))
+
+
 def test_random_rules_are_feasible():
     rng = np.random.default_rng(77)
     for n, K in DESK_SIZES:
@@ -73,8 +80,7 @@ def test_random_rules_are_feasible():
         for _ in range(10):
             rej = acc_to_rej(rng.random((n, K)), prior)
             x = rule_solution_vector(model, rej)
-            assert np.max(model.a_ub @ x - model.b_ub) <= 1e-9
-            assert np.max(np.abs(model.a_eq @ x - model.b_eq)) <= 1e-9
+            assert _row_violation(model, x) <= 1e-9
 
 
 def test_reject_all_point():
@@ -84,8 +90,7 @@ def test_reject_all_point():
     exprs = win_prob_by_truncation(rej, prior)
     assert np.max(np.abs(exprs)) <= 1e-14  # acceptance terms telescope away
     x = rule_solution_vector(model, rej)
-    assert np.max(model.a_ub @ x - model.b_ub) <= 1e-12
-    assert np.max(np.abs(model.a_eq @ x - model.b_eq)) <= 1e-12
+    assert _row_violation(model, x) <= 1e-12
 
 
 def test_acc_rej_conversions():
@@ -243,17 +248,23 @@ def _scipy_csr(a):
 
 
 def _cold_linprog(model, lam):
-    """Independent reference: scipy's linprog from scratch on the same model."""
+    """Independent reference: scipy's linprog from scratch on the same model.
+
+    A row whose two bounds are equal is an equality row; every other row is
+    a <= row with its upper bound as the right-hand side.
+    """
     c = np.zeros(model.num_vars)
     c[model.col_names.index("alpha")] = -lam
     c[model.col_names.index("beta")] = -(1.0 - lam)
+    a = _scipy_csr(model.a)
+    eq = model.row_lower == model.row_upper
     return linprog(
         c,
-        A_ub=_scipy_csr(model.a_ub),
-        b_ub=model.b_ub,
-        A_eq=_scipy_csr(model.a_eq),
-        b_eq=model.b_eq,
-        bounds=model.bounds,
+        A_ub=a[~eq],
+        b_ub=model.row_upper[~eq],
+        A_eq=a[eq],
+        b_eq=model.row_upper[eq],
+        bounds=np.column_stack((model.col_lower, model.col_upper)),
         method="highs",
     )
 
@@ -300,16 +311,17 @@ def test_frontier_sweep_checks_lambdas_before_solving(monkeypatch):
 
 def _infeasible_model(model):
     # pdef_1_1 reads p_1_1 = D[1, 1] y_1_1 = y_1_1 <= 1; a right-hand side of 5 forces p > 1
-    b_eq = model.b_eq.copy()
-    b_eq[model.row_names_eq.index("pdef_1_1")] = 5.0
-    return replace(model, b_eq=b_eq)
+    row_lower, row_upper = model.row_lower.copy(), model.row_upper.copy()
+    row = model.row_names.index("pdef_1_1")
+    row_lower[row] = row_upper[row] = 5.0
+    return replace(model, row_lower=row_lower, row_upper=row_upper)
 
 
 def _unbounded_model(model):
     # without the consistency row alpha <= b_K, alpha is free
-    b_ub = model.b_ub.copy()
-    b_ub[model.row_names_ub.index("cons")] = np.inf
-    return replace(model, b_ub=b_ub)
+    row_upper = model.row_upper.copy()
+    row_upper[model.row_names.index("cons")] = np.inf
+    return replace(model, row_upper=row_upper)
 
 
 def test_solve_lp_maps_highs_status(desk_model):
@@ -326,31 +338,60 @@ def test_failed_lambda_leaves_the_sweep_going(desk_model):
     assert solved.objective == pytest.approx(LP_GOLDEN[0.0], abs=1e-6)
 
 
+class _StubHighs:
+    """Stands in for a HiGHS instance that reports an optimal solve at x with the given objective."""
+
+    def __init__(self, x, objective):
+        self.x = x
+        self.objective = objective
+
+    def getModelStatus(self):
+        return hardness._highs.HighsModelStatus.kOptimal
+
+    def getSolution(self):
+        return SimpleNamespace(col_value=self.x)
+
+    def getInfo(self):
+        return SimpleNamespace(objective_function_value=-self.objective)
+
+
+def test_read_solution_rejects_nan():
+    model = build_polytope(3, 3, harmonic_prior(3))
+    with pytest.raises(LpError, match="^solution violates constraints by nan"):
+        hardness._read_solution(_StubHighs(np.full(model.num_vars, np.nan), 0.5), model, 0.5)
+    # the reject-all table is feasible at (alpha, beta) = (0, 0), so only the objective is wrong
+    x = rule_solution_vector(model, np.ones((3, 3)))
+    assert hardness._read_solution(_StubHighs(x, 0.0), model, 0.5).objective == 0.0
+    with pytest.raises(LpError, match="^recomputed envelope point disagrees"):
+        hardness._read_solution(_StubHighs(x, np.nan), model, 0.5)
+
+
+def test_export_lp_objective_bytes():
+    # zero terms are dropped (a -0.0 weight too); the rest are joined by " + "
+    assert hardness.export_lp_objective(0.0) == "Maximize\n obj: 1 beta\n"
+    assert hardness.export_lp_objective(-0.0) == "Maximize\n obj: 1 beta\n"
+    assert hardness.export_lp_objective(0.3) == "Maximize\n obj: 0.29999999999999999 alpha + 0.69999999999999996 beta\n"
+    assert hardness.export_lp_objective(1.0) == "Maximize\n obj: 1 alpha\n"
+
+
 def test_export_parse_roundtrip():
     for n, K in [(2, 2), (3, 2)]:
         model = build_polytope(n, K, harmonic_prior(K))
         parsed = parse_lp(export_lp(model, 0.3))
         assert parsed["objective"] == {"alpha": 0.3, "beta": 0.7}
-        dense_ub = model.a_ub.toarray()
-        dense_eq = model.a_eq.toarray()
+        dense = model.a.toarray()
         name_to_col = {name: j for j, name in enumerate(model.col_names)}
-        for i, row_name in enumerate(model.row_names_ub):
+        for i, row_name in enumerate(model.row_names):
             terms, sense, rhs = parsed["rows"][row_name]
-            assert sense == "<="
-            assert rhs == model.b_ub[i]
+            if model.row_lower[i] == -np.inf:
+                assert (sense, rhs) == ("<=", model.row_upper[i])
+            else:
+                assert (sense, rhs, rhs) == ("=", model.row_lower[i], model.row_upper[i])
             rebuilt = np.zeros(model.num_vars)
             for var, coef in terms.items():
                 rebuilt[name_to_col[var]] = coef
-            assert np.array_equal(rebuilt, dense_ub[i])
-        for i, row_name in enumerate(model.row_names_eq):
-            terms, sense, rhs = parsed["rows"][row_name]
-            assert sense == "="
-            assert rhs == model.b_eq[i]
-            rebuilt = np.zeros(model.num_vars)
-            for var, coef in terms.items():
-                rebuilt[name_to_col[var]] = coef
-            assert np.array_equal(rebuilt, dense_eq[i])
-        for name, (lo, hi) in zip(model.col_names, model.bounds):
+            assert np.array_equal(rebuilt, dense[i])
+        for name, lo, hi in zip(model.col_names, model.col_lower, model.col_upper):
             assert parsed["bounds"][name] == (lo, hi)
 
 
@@ -483,26 +524,22 @@ def _loop_polytope(n, K, pmf):
         ub_add(r, [ibeta, ib(k)], [1.0, -1.0], 0.0, f"rob_{k}")
         r += 1
 
-    bounds = (
-        [(0.0, 1.0)] * (n * K)
-        + [(0.0, 1.0)] * ((n - 1) * K)
-        + [(None, None)] * (2 * K)
-        + [(None, None), (None, None)]
-    )
+    col_lower = [0.0] * (n * K) + [0.0] * ((n - 1) * K) + [-np.inf] * (2 * K) + [-np.inf, -np.inf]
+    col_upper = [1.0] * (n * K) + [1.0] * ((n - 1) * K) + [np.inf] * (2 * K) + [np.inf, np.inf]
     a_eq = sparse.coo_matrix((eq_vals, (eq_rows, eq_cols)), shape=(len(b_eq), nvars)).tocsr()
     a_ub = sparse.coo_matrix((ub_vals, (ub_rows, ub_cols)), shape=(len(b_ub), nvars)).tocsr()
+    # the <= rows over the = rows; a <= row has no lower bound, an = row has two equal ones
     return hardness.PolytopeModel(
         n=n,
         K=K,
         pmf=pmf,
-        a_ub=a_ub,
-        b_ub=np.asarray(b_ub),
-        a_eq=a_eq,
-        b_eq=np.asarray(b_eq),
-        bounds=bounds,
+        a=sparse.vstack((a_ub, a_eq), format="csr"),
+        row_lower=np.concatenate((np.full(len(b_ub), -np.inf), b_eq)),
+        row_upper=np.concatenate((b_ub, b_eq)),
+        col_lower=np.array(col_lower),
+        col_upper=np.array(col_upper),
         col_names=col_names,
-        row_names_ub=row_names_ub,
-        row_names_eq=row_names_eq,
+        row_names=row_names_ub + row_names_eq,
     )
 
 
@@ -511,14 +548,12 @@ def _bits(a):
 
 
 def _assert_same_model(got, want):
-    for name in ("a_ub", "a_eq"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.shape == b.shape
-        for part in ("indptr", "indices", "data"):
-            assert _bits(getattr(a, part)) == _bits(getattr(b, part)), (name, part)
-    for name in ("b_ub", "b_eq"):
+    assert got.a.shape == want.a.shape
+    for part in ("indptr", "indices", "data"):
+        assert _bits(getattr(got.a, part)) == _bits(getattr(want.a, part)), part
+    for name in ("row_lower", "row_upper", "col_lower", "col_upper"):
         assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
-    for name in ("bounds", "col_names", "row_names_ub", "row_names_eq"):
+    for name in ("col_names", "row_names"):
         assert getattr(got, name) == getattr(want, name), name
 
 
@@ -542,19 +577,19 @@ def test_build_polytope_matches_the_loops(n, weights):
 def test_csr_matches_scipy(n, weights, data):
     pmf = np.array(weights) / np.sum(weights)
     model = build_polytope(n, len(pmf), pmf)
-    for a in (model.a_ub, model.a_eq):
-        ref = _scipy_csr(a)
-        assert a.nnz == ref.nnz
-        assert np.array_equal(a.toarray(), ref.toarray())
-        if data is None:
-            x = np.linspace(-1.0, 1.0, a.shape[1])
-        else:
-            x = data.draw(arrays(np.float64, a.shape[1], elements=st.floats(-1e3, 1e3)), label="x")
-        # the same sums in the same order; a fused multiply-add may round them differently
-        bound = 4 * np.finfo(float).eps * (abs(ref) @ np.abs(x))
-        assert np.all(np.abs(a @ x - ref @ x) <= bound)
-    start, index, value = hardness._colwise(model)
-    want = sparse.vstack((_scipy_csr(model.a_ub), _scipy_csr(model.a_eq))).tocsc()
+    a = model.a
+    ref = _scipy_csr(a)
+    assert a.nnz == ref.nnz
+    assert np.array_equal(a.toarray(), ref.toarray())
+    if data is None:
+        x = np.linspace(-1.0, 1.0, a.shape[1])
+    else:
+        x = data.draw(arrays(np.float64, a.shape[1], elements=st.floats(-1e3, 1e3)), label="x")
+    # the same sums in the same order; a fused multiply-add may round them differently
+    bound = 4 * np.finfo(float).eps * (abs(ref) @ np.abs(x))
+    assert np.all(np.abs(a @ x - ref @ x) <= bound)
+    start, index, value = hardness._colwise(a)
+    want = ref.tocsc()
     assert _bits(start) == _bits(want.indptr)
     assert _bits(index) == _bits(want.indices)
     assert _bits(value) == _bits(want.data)
@@ -585,11 +620,12 @@ def test_export_lp_body_matches_the_row_by_row_reference(n, weights, block, data
     pmf = np.array(weights) / np.sum(weights)
     model = build_polytope(n, len(pmf), pmf)
     if data is not None:
-        # some right-hand sides negated: a zero becomes -0.0, which reads "-0"
-        b_ub, b_eq = model.b_ub, model.b_eq
-        b_ub = np.where(data.draw(arrays(bool, len(b_ub)), label="flip_ub"), -b_ub, b_ub)
-        b_eq = np.where(data.draw(arrays(bool, len(b_eq)), label="flip_eq"), -b_eq, b_eq)
-        model = replace(model, b_ub=b_ub, b_eq=b_eq)
+        # some right-hand sides negated: a zero becomes -0.0, which reads "-0"; an = row
+        # keeps its two bounds equal, and a <= row keeps no lower bound
+        eq = model.row_lower == model.row_upper
+        flip = data.draw(arrays(bool, len(eq)), label="flip")
+        row_upper = np.where(flip, -model.row_upper, model.row_upper)
+        model = replace(model, row_lower=np.where(eq, row_upper, model.row_lower), row_upper=row_upper)
     # blocks of a few rows, so that rows, terms and partial blocks meet every block boundary
     with mock.patch.object(hardness, "_BLOCK_ROWS", block):
         assert export_lp_body(model) == export_lp_body_by_rows(model)
