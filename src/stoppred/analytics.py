@@ -25,7 +25,7 @@ import numpy as np
 
 from ._expint import e1
 from ._roots import brentq
-from .priors import E_INV, lambda_pair
+from .priors import lambda_pair
 from .quadrature import _piece_tail, log_time_integral, pow_integral
 
 __all__ = [
@@ -80,15 +80,11 @@ def maxprob_alpha(beta):
     (_maxprob_antiderivative), so alpha = beta + G(lambda2) - G(lambda1):
     four exponential integrals, with no quadrature and no clipped limit.
     """
-    beta = float(beta)
-    if not (0.0 <= beta <= E_INV + 1e-15):
-        raise ValueError("beta must lie in [0, 1/e]")
-    if beta >= E_INV - 1e-13:
-        # the roots coincide at the peak, so the band is empty
-        return min(beta, E_INV)
     pair = lambda_pair(beta)
+    if pair.lambda1 == pair.lambda2:  # the roots coincide at the peak, so the band is empty
+        return pair.beta
     c = solve_constant_c()
-    return beta + _maxprob_antiderivative(pair.lambda2, c) - _maxprob_antiderivative(pair.lambda1, c)
+    return pair.beta + _maxprob_antiderivative(pair.lambda2, c) - _maxprob_antiderivative(pair.lambda1, c)
 
 
 def googol_win_formula(qvals, theta):

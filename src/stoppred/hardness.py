@@ -26,17 +26,18 @@ so row lengths stay O(1) or O(n), every coefficient lies in [0, 1] (the
 unscaled rows carry factors down to F(1)^n, which sink below solver
 tolerances at full scale), and the robustness rows read beta <= b_l.
 The polytope does not depend on lambda, so build_polytope takes none: lambda
-enters only as the alpha and beta costs, passed to solve_lp, frontier_sweep
-or export_lp.  The model is held in the form HiGHS takes: one Csr matrix
-(a compressed-sparse-row triple with the matrix-vector product the
-solution check needs) with the <= rows first and the = rows after them,
-lower and upper bounds on each row (-inf below a <= row, both equal on an
-= row), and lower and upper bounds on each column.  Solving goes through
-the HiGHS binding bundled with scipy, loaded from its extension file alone
-(scipy.optimize's package imports are not run) and set up as
-linprog(method="highs") sets it up.  A lambda sweep hands HiGHS
-the polytope once and changes only those two costs, so each optimal basis
-stays primal feasible for the next lambda and the simplex resumes from it.
+enters only as the alpha and beta costs, passed to Lp.solve or export_lp.
+The model is held in the form HiGHS takes: one Csr matrix (a
+compressed-sparse-row triple with the matrix-vector product the solution
+check needs) with the <= rows first and the = rows after them, lower and
+upper bounds on each row (-inf below a <= row, both equal on an = row),
+and lower and upper bounds on each column.  Lp(model) hands that model to
+the HiGHS binding bundled with scipy, row-wise as it is, loaded from its
+extension file alone (scipy.optimize's package imports are not run) and
+set up as linprog(method="highs") sets it up.  Each Lp.solve(lam) changes
+only the two costs, so after the first solve every optimal basis stays
+primal feasible for the next lambda and the simplex resumes from it;
+frontier_sweep runs a whole lambda grid on one Lp.
 export_lp writes the model with a lambda's objective in the standard LP
 text format for external solvers.  Its lambda-free part, export_lp_body,
 is array code: each distinct coefficient is formatted once, and the rows
@@ -95,7 +96,7 @@ __all__ = [
     "build_polytope",
     "LpSolution",
     "LpError",
-    "solve_lp",
+    "Lp",
     "export_lp",
     "export_lp_objective",
     "export_lp_body",
@@ -143,19 +144,29 @@ def _check_lambda(lam):
 def delta_table(pmf, n):
     """Delta^t(l) for t = 0..n as an (n+1, K) array.
 
-    Delta^t(l) = F(l)^t - F(l-1)^t, computed as F(l)^t * (-expm1(t * log(
-    F(l-1)/F(l)))) to avoid the subtractive cancellation at large l.
+    Delta^t(l) = F(l)^t - F(l-1)^t, computed as F(l)^t times the scaled
+    table of _scaled_delta, which build_polytope's rows carry.
     """
-    pmf = _pmf_array(pmf)
-    K = len(pmf)
-    F, Fm1 = _cdf_pair(pmf)
-    delta = np.zeros((n + 1, K))
-    delta[0, 0] = 1.0
+    F, Fm1 = _cdf_pair(_pmf_array(pmf))
+    with np.errstate(invalid="ignore"):
+        D = _scaled_delta(Fm1 / F, n)  # F(l) = 0 gives a NaN ratio, and F(l)^t D[t, l] = 0
+    return np.array([F**t * D[t] for t in range(n + 1)])
+
+
+def _scaled_delta(ratio, n):
+    """D[t, l] = Delta^t(l) / F(l)^t for t = 0..n, as an (n+1, K) array.
+
+    ratio holds F(l-1)/F(l).  D[0, l] = 1{l = 1}, and D[t, l] = 1 - ratio^t
+    is computed as -expm1(t * log(ratio)) to avoid the subtractive
+    cancellation at large l; a ratio that is not positive gives 1.
+    """
+    D = np.zeros((n + 1, len(ratio)))
+    D[0, 0] = 1.0
     with np.errstate(divide="ignore"):
-        logratio = np.where(Fm1 > 0.0, np.log(np.maximum(Fm1, 1e-300) / F), -np.inf)
+        logratio = np.where(ratio > 0.0, np.log(np.maximum(ratio, 1e-300)), -np.inf)
     for t in range(1, n + 1):
-        delta[t] = F**t * -np.expm1(t * logratio)
-    return delta
+        D[t] = -np.expm1(t * logratio)
+    return D
 
 
 @dataclass(frozen=True)
@@ -182,11 +193,6 @@ class Csr:
 
     def __matmul__(self, x):
         return np.bincount(self.rows(), weights=self.data * x[self.indices], minlength=self.shape[0])
-
-    def toarray(self):
-        dense = np.zeros(self.shape)
-        dense[self.rows(), self.indices] = self.data
-        return dense
 
 
 @dataclass(frozen=True)
@@ -263,13 +269,7 @@ def build_polytope(n, K, pmf):
         raise ValueError("the truncation family needs strictly positive pmf entries")
     F, Fm1 = _cdf_pair(pmf)
     ratio = Fm1 / F  # F(l-1)/F(l), zero at l = 1
-    # D[t, l] = Delta^t(l) / F(l)^t = 1 - ratio^t, with D[0, l] = 1{l = 1}
-    D = np.zeros((n + 1, K))
-    D[0, 0] = 1.0
-    with np.errstate(divide="ignore"):
-        logratio = np.where(ratio > 0.0, np.log(np.maximum(ratio, 1e-300)), -np.inf)
-    for t in range(1, n + 1):
-        D[t] = -np.expm1(t * logratio)
+    D = _scaled_delta(ratio, n)  # D[t, l] = 1 - ratio^t, with D[0, l] = 1{l = 1}
     hazard = pmf / F  # f(l)/F(l) = D[1, l]
     # R[t - 1, l - 1] = ratio_l^t by scalar pow: numpy's vectorized power can
     # differ from it in the last bit, and the model is pinned bit for bit
@@ -367,37 +367,6 @@ class LpError(ArithmeticError):
     """The LP solve failed or its solution did not check out."""
 
 
-def _colwise(a):
-    """The start, index and value arrays of the Csr matrix a, column by column.
-
-    Within a column the entries keep their row order, as in scipy's
-    ``csr_matrix.tocsc()``.
-    """
-    order = np.argsort(a.indices, kind="stable")
-    start = np.zeros(a.shape[1] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(a.indices, minlength=a.shape[1]), out=start[1:])
-    return start, a.rows()[order], a.data[order]
-
-
-def _highs_instance(model):
-    """A HiGHS instance holding the model at zero cost, with linprog(method="highs")'s options."""
-    lp = _highs.HighsLp()
-    lp.num_row_ = lp.a_matrix_.num_row_ = model.a.shape[0]
-    lp.num_col_ = lp.a_matrix_.num_col_ = model.num_vars
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = _colwise(model.a)
-    lp.col_cost_ = np.zeros(model.num_vars)
-    lp.col_lower_ = model.col_lower
-    lp.col_upper_ = model.col_upper
-    lp.row_lower_ = model.row_lower
-    lp.row_upper_ = model.row_upper
-    highs = _highs._Highs()
-    for option, value in (("presolve", "on"), ("output_flag", False), ("log_to_console", False)):
-        highs.setOptionValue(option, value)
-    highs.passModel(lp)
-    return highs
-
-
 def _read_solution(highs, model, lam):
     """Check the solve HiGHS just finished and read back the envelope point.
 
@@ -428,40 +397,47 @@ def _read_solution(highs, model, lam):
     return LpSolution(lam=lam, objective=objective, alpha=alpha, beta=beta, y=y)
 
 
-def _solve_lambdas(model, lambdas):
-    """Solve the model at each lambda in turn on one HiGHS instance.
+class Lp:
+    """The model on one HiGHS instance, which solve(lam) runs at a lambda.
 
-    Each lambda sets the alpha and beta costs before its run, so every run
-    after the first resumes from the previous optimal basis.  That basis is
-    still primal feasible, as only costs changed, so the re-solves use the
-    primal simplex; the first, cold run keeps linprog's default strategy.
-    Returns, in the given order, an LpSolution or the LpError that voids it.
+    The instance takes the model at zero cost, its Csr matrix row-wise as
+    it is, with linprog(method="highs")'s options.  Each solve sets the
+    alpha and beta costs before its run, so every run after the first
+    resumes from the previous optimal basis.  That basis is still primal
+    feasible, as only costs changed, so the re-solves use the primal
+    simplex; the first, cold run keeps linprog's default strategy.
     """
-    highs = _highs_instance(model)
-    cols = np.array([model.num_vars - 2, model.num_vars - 1], dtype=np.int32)
-    results = []
-    for lam in lambdas:
-        highs.changeColsCost(2, cols, np.array([-lam, -(1.0 - lam)]))
-        highs.run()
-        highs.setOptionValue("simplex_strategy", 4)  # primal, from the second run on
-        try:
-            results.append(_read_solution(highs, model, lam))
-        except LpError as exc:
-            results.append(exc)
-    return results
 
+    def __init__(self, model):
+        lp = _highs.HighsLp()
+        lp.num_row_ = lp.a_matrix_.num_row_ = model.a.shape[0]
+        lp.num_col_ = lp.a_matrix_.num_col_ = model.num_vars
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = model.a.indptr, model.a.indices, model.a.data
+        lp.col_cost_ = np.zeros(model.num_vars)
+        lp.col_lower_ = model.col_lower
+        lp.col_upper_ = model.col_upper
+        lp.row_lower_ = model.row_lower
+        lp.row_upper_ = model.row_upper
+        self.model = model
+        self._highs = _highs._Highs()
+        for option, value in (("presolve", "on"), ("output_flag", False), ("log_to_console", False)):
+            self._highs.setOptionValue(option, value)
+        self._highs.passModel(lp)
 
-def solve_lp(model, lam):
-    """Maximize lam * alpha + (1 - lam) * beta over the model and read back the envelope point.
+    def solve(self, lam):
+        """Maximize lam * alpha + (1 - lam) * beta over the model and read back the envelope point.
 
-    alpha and beta are recomputed from the optimal rejection table; a
-    non-optimal status, a residual above FEASIBILITY_TOL or a mismatched
-    envelope raises LpError.
-    """
-    (result,) = _solve_lambdas(model, [_check_lambda(lam)])
-    if isinstance(result, LpError):
-        raise result
-    return result
+        alpha and beta are recomputed from the optimal rejection table; a
+        non-optimal status, a residual above FEASIBILITY_TOL or a mismatched
+        envelope raises LpError.
+        """
+        lam = _check_lambda(lam)
+        cols = np.array([self.model.num_vars - 2, self.model.num_vars - 1], dtype=np.int32)
+        self._highs.changeColsCost(2, cols, np.array([-lam, -(1.0 - lam)]))
+        self._highs.run()
+        self._highs.setOptionValue("simplex_strategy", 4)  # primal, from the second run on
+        return _read_solution(self._highs, self.model, lam)
 
 
 @dataclass(frozen=True)
@@ -477,21 +453,20 @@ def frontier_sweep(n, K, pmf, lambdas):
     """Solve the LP across a lambda grid; per-point failures become gaps.
 
     Every lambda is checked before anything is built.  The distinct lambdas
-    are solved in descending order on one HiGHS instance (the lambda = 1
-    cold solve is the cheapest), and the points come back in input order.
+    are solved in descending order on one Lp (the lambda = 1 cold solve is
+    the cheapest), and the points come back in input order.
     """
     lambdas = [_check_lambda(lam) for lam in lambdas]
-    model = build_polytope(n, K, pmf)
-    descending = sorted(set(lambdas), reverse=True)
-    solved = dict(zip(descending, _solve_lambdas(model, descending)))
-    points = []
-    for lam in lambdas:
-        sol = solved[lam]
-        if isinstance(sol, LpError):
-            points.append(FrontierPoint(lam, math.nan, math.nan, math.nan, str(sol)))
+    lp = Lp(build_polytope(n, K, pmf))
+    solved = {}
+    for lam in sorted(set(lambdas), reverse=True):
+        try:
+            sol = lp.solve(lam)
+        except LpError as exc:
+            solved[lam] = (math.nan, math.nan, math.nan, str(exc))
         else:
-            points.append(FrontierPoint(lam, sol.objective, sol.alpha, sol.beta))
-    return points
+            solved[lam] = (sol.objective, sol.alpha, sol.beta)
+    return [FrontierPoint(lam, *solved[lam]) for lam in lambdas]
 
 
 # ---------------------------------------------------------------------------

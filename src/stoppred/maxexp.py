@@ -99,8 +99,9 @@ def _piece_equation(z1, tail, alpha):
 def solve_steps(alpha, beta, m):
     """Run the backward recursion for given (alpha, beta) on an m-step grid.
 
-    beta = 1/e degenerates to an empty middle band (the wait-until-1/e
-    rule), feasible exactly when alpha <= 1/e.  beta = 0 is rejected: it
+    A beta where lambda_pair returns a double root (1/e, and just below
+    it) degenerates to an empty middle band (the wait-until-1/e rule),
+    feasible exactly when alpha <= 1/e.  beta = 0 is rejected: it
     puts lambda2 at 1, and the initialization integral needs lambda2 < 1.
     """
     if not alpha > 0.0:
@@ -110,7 +111,7 @@ def solve_steps(alpha, beta, m):
     if not (2 <= m < math.inf and int(m) == m):
         raise ValueError("need integer m >= 2")
     pair = lambda_pair(beta)
-    if pair.lambda2 - pair.lambda1 <= 1e-12:
+    if pair.lambda1 == pair.lambda2:
         return StepSolution(
             beta=float(beta),
             pair=pair,
@@ -152,8 +153,9 @@ def max_alpha_for_beta(beta, m, tol=1e-4):
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if abs(beta - E_INV) <= 1e-15:
-        return E_INV, solve_steps(E_INV, E_INV, m)
+    pair = lambda_pair(beta)
+    if pair.lambda1 == pair.lambda2:  # the empty band at the peak: the wait-until-1/e rule
+        return E_INV, solve_steps(E_INV, beta, m)
     seen = []
 
     def evaluate(a):

@@ -177,6 +177,13 @@ def brute_force_win_prob(acc, pmf, k):
     return float(np.sum(probs * np.sum(surv * fire * is_max, axis=1)))
 
 
+def dense(csr):
+    """The hardness.Csr matrix csr as a dense array."""
+    matrix = np.zeros(csr.shape)
+    matrix[csr.rows(), csr.indices] = csr.data
+    return matrix
+
+
 def export_lp_body_by_rows(model):
     """The constraint and bounds sections of hardness.export_lp, row by row."""
     names = model.col_names

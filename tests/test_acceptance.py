@@ -295,7 +295,7 @@ def test_criterion_13_full_scale_exclusion():
     t0 = time.time()
     prior = hardness.harmonic_prior(1024)
     model = hardness.build_polytope(30, 1024, prior)
-    sol = hardness.solve_lp(model, 0.5)
+    sol = hardness.Lp(model).solve(0.5)
     best_of_both = 0.5 * 0.5801 + 0.5 * 0.3679
     ok = best_of_both > sol.objective
     _report(13, "full-scale exclusion", ok, f"LP*(0.5)={sol.objective:.6f} < {best_of_both:.6f}", t0)

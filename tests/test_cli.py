@@ -83,6 +83,38 @@ def test_hardness_frontier_embedded(capsys):
     assert len(lines) == 5
 
 
+# hardness-frontier stdout at --lambda-grid 0:1:0.25, byte for byte: the embedded
+# solver's last digits depend on the order of the HiGHS runs and on their options
+# ((4, 16) also shows the primal simplex taking over from the second run on)
+FRONTIER_BYTES = {
+    (3, 8): """\
+# command=hardness-frontier k_support=8 lambdas=0:1:0.25 n=3 solver=embedded
+lambda,lp_star,alpha_star,beta_star
+0,0.76072192140350947,0.76072192140350947,0.76072192140350925
+0.25,0.76072192140350947,0.76072192140350947,0.76072192140350925
+0.5,0.76072192140350947,0.76072192140350947,0.76072192140350925
+0.75,0.76072192140350947,0.76072192140350947,0.76072192140350925
+1,0.76952417831645503,0.76952417831645492,0.62962962962962965
+""",
+    (4, 16): """\
+# command=hardness-frontier k_support=16 lambdas=0:1:0.25 n=4 solver=embedded
+lambda,lp_star,alpha_star,beta_star
+0,0.66360781344140418,0.66360781344140396,0.66360781344140396
+0.25,0.66360781344140407,0.66360781344140396,0.66360781344140396
+0.5,0.66360781344140407,0.66360781344140396,0.66360781344140396
+0.75,0.66531652821981624,0.67546836870581073,0.63486100676183299
+1,0.6938397266224493,0.69383972662244919,0.41971176832183582
+""",
+}
+
+
+@pytest.mark.parametrize("n, k", FRONTIER_BYTES)
+def test_hardness_frontier_stdout_bytes(capsys, n, k):
+    code, out, err = run_cli(capsys, "hardness-frontier", "--n", str(n), "--k-support", str(k),
+                             "--lambda-grid", "0:1:0.25")
+    assert (code, out, err) == (0, FRONTIER_BYTES[n, k], "")
+
+
 def test_hardness_frontier_export(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "hardness-frontier", "--n", "2", "--k-support", "3",
                            "--lambda-grid", "0,1", "--solver", "export",
@@ -121,6 +153,15 @@ def test_maxexp_curve_peak_point(capsys):
     assert code == 0
     beta, alpha = out.strip().splitlines()[-1].split(",")
     assert float(alpha) == pytest.approx(E_INV, abs=1e-9)
+
+
+def test_maxexp_curve_just_below_the_peak(capsys):
+    # lambda_pair gives a double root from 1/e - 1e-13 on, so the band is empty there too
+    code, out, err = run_cli(capsys, "maxexp-curve", "--beta", "0.3678794411714", "--m", "10")
+    assert (code, err) == (0, "")
+    beta, alpha = out.strip().splitlines()[-1].split(",")
+    assert float(beta) == 0.3678794411714
+    assert float(alpha) == E_INV
 
 
 def test_maxexp_curve_gap_and_failure(capsys):

@@ -15,6 +15,7 @@ from scipy.optimize import linprog
 
 from stoppred import hardness
 from stoppred.hardness import (
+    Lp,
     LpError,
     acc_to_rej,
     build_polytope,
@@ -23,11 +24,10 @@ from stoppred.hardness import (
     export_lp_body,
     frontier_sweep,
     harmonic_prior,
-    solve_lp,
     win_prob_by_truncation,
 )
 
-from reference import brute_force_win_prob, export_lp_body_by_rows, parse_lp, rej_to_acc, rule_solution_vector
+from reference import brute_force_win_prob, dense, export_lp_body_by_rows, parse_lp, rej_to_acc, rule_solution_vector
 
 DESK_SIZES = [(2, 2), (3, 3), (4, 3)]
 
@@ -201,7 +201,7 @@ def test_brute_force_budget_and_single_step():
 
 
 def test_single_value_model_optimum():
-    sol = solve_lp(build_polytope(1, 1, harmonic_prior(1)), 0.5)
+    sol = Lp(build_polytope(1, 1, harmonic_prior(1))).solve(0.5)
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
     assert sol.alpha == pytest.approx(1.0, abs=1e-9)
     assert sol.beta == pytest.approx(1.0, abs=1e-9)
@@ -210,8 +210,8 @@ def test_single_value_model_optimum():
 
 def test_solve_deterministic():
     model = build_polytope(4, 8, harmonic_prior(8))
-    a = solve_lp(model, 0.7)
-    b = solve_lp(model, 0.7)
+    a = Lp(model).solve(0.7)
+    b = Lp(model).solve(0.7)
     assert a.objective == b.objective
     assert np.array_equal(a.y, b.y)
 
@@ -227,10 +227,10 @@ def desk_model():
 
 def test_lp_star_bounds_and_goldens(desk_model):
     for lam, expect in LP_GOLDEN.items():
-        sol = solve_lp(desk_model, lam)
+        sol = Lp(desk_model).solve(lam)
         assert sol.objective == pytest.approx(expect, abs=1e-6)
-    assert solve_lp(desk_model, 1.0).objective >= 0.5801
-    assert solve_lp(desk_model, 0.0).objective >= 0.3679
+    assert Lp(desk_model).solve(1.0).objective >= 0.5801
+    assert Lp(desk_model).solve(0.0).objective >= 0.3679
 
 
 def test_frontier_convex(desk_model):
@@ -272,7 +272,7 @@ def _cold_linprog(model, lam):
 def test_solve_lp_matches_linprog_bitwise(desk_model):
     for lam in (0.0, 0.5, 1.0):
         res = _cold_linprog(desk_model, lam)
-        sol = solve_lp(desk_model, lam)
+        sol = Lp(desk_model).solve(lam)  # a cold solve, as linprog's
         assert sol.objective == -res.fun
         assert np.array_equal(sol.y, res.x[: desk_model.n * desk_model.K].reshape(desk_model.n, desk_model.K))
 
@@ -303,7 +303,7 @@ def test_frontier_sweep_checks_lambdas_before_solving(monkeypatch):
         raise AssertionError("the sweep built or solved before checking its lambdas")
 
     monkeypatch.setattr(hardness, "build_polytope", never)
-    monkeypatch.setattr(hardness, "_solve_lambdas", never)
+    monkeypatch.setattr(hardness, "Lp", never)
     for lambdas in ([0.5, 1.5], [-0.1], [0.0, float("nan")]):
         with pytest.raises(ValueError, match="lambda weight"):
             frontier_sweep(3, 3, harmonic_prior(3), lambdas)
@@ -326,16 +326,17 @@ def _unbounded_model(model):
 
 def test_solve_lp_maps_highs_status(desk_model):
     with pytest.raises(LpError, match="^LP reported infeasible; the reject-all table is always feasible"):
-        solve_lp(_infeasible_model(desk_model), 1.0)
+        Lp(_infeasible_model(desk_model)).solve(1.0)
     with pytest.raises(LpError, match="^LP reported unbounded; alpha and beta are bounded by 1"):
-        solve_lp(_unbounded_model(desk_model), 1.0)
+        Lp(_unbounded_model(desk_model)).solve(1.0)
 
 
 def test_failed_lambda_leaves_the_sweep_going(desk_model):
     # at lambda = 0 alpha has no cost, so dropping its row changes nothing
-    failed, solved = hardness._solve_lambdas(_unbounded_model(desk_model), [1.0, 0.0])
-    assert isinstance(failed, LpError) and "unbounded" in str(failed)
-    assert solved.objective == pytest.approx(LP_GOLDEN[0.0], abs=1e-6)
+    lp = Lp(_unbounded_model(desk_model))
+    with pytest.raises(LpError, match="unbounded"):
+        lp.solve(1.0)
+    assert lp.solve(0.0).objective == pytest.approx(LP_GOLDEN[0.0], abs=1e-6)
 
 
 class _StubHighs:
@@ -379,7 +380,7 @@ def test_export_parse_roundtrip():
         model = build_polytope(n, K, harmonic_prior(K))
         parsed = parse_lp(export_lp(model, 0.3))
         assert parsed["objective"] == {"alpha": 0.3, "beta": 0.7}
-        dense = model.a.toarray()
+        matrix = dense(model.a)
         name_to_col = {name: j for j, name in enumerate(model.col_names)}
         for i, row_name in enumerate(model.row_names):
             terms, sense, rhs = parsed["rows"][row_name]
@@ -390,7 +391,7 @@ def test_export_parse_roundtrip():
             rebuilt = np.zeros(model.num_vars)
             for var, coef in terms.items():
                 rebuilt[name_to_col[var]] = coef
-            assert np.array_equal(rebuilt, dense[i])
+            assert np.array_equal(rebuilt, matrix[i])
         for name, lo, hi in zip(model.col_names, model.col_lower, model.col_upper):
             assert parsed["bounds"][name] == (lo, hi)
 
@@ -580,7 +581,7 @@ def test_csr_matches_scipy(n, weights, data):
     a = model.a
     ref = _scipy_csr(a)
     assert a.nnz == ref.nnz
-    assert np.array_equal(a.toarray(), ref.toarray())
+    assert np.array_equal(dense(a), ref.toarray())
     if data is None:
         x = np.linspace(-1.0, 1.0, a.shape[1])
     else:
@@ -588,11 +589,6 @@ def test_csr_matches_scipy(n, weights, data):
     # the same sums in the same order; a fused multiply-add may round them differently
     bound = 4 * np.finfo(float).eps * (abs(ref) @ np.abs(x))
     assert np.all(np.abs(a @ x - ref @ x) <= bound)
-    start, index, value = hardness._colwise(a)
-    want = ref.tocsc()
-    assert _bits(start) == _bits(want.indptr)
-    assert _bits(index) == _bits(want.indices)
-    assert _bits(value) == _bits(want.data)
 
 
 # sha256 of export_lp on an irregular instance, recorded from the loop
@@ -655,7 +651,7 @@ def test_lambda_is_checked_where_it_is_used():
     model = build_polytope(2, 3, harmonic_prior(3))
     for lam in (1.5, -0.1, float("nan")):
         for use in (
-            lambda: solve_lp(model, lam),
+            lambda: Lp(model).solve(lam),
             lambda: export_lp(model, lam),
             lambda: hardness.export_lp_objective(lam),
             lambda: frontier_sweep(2, 3, harmonic_prior(3), [0.5, lam]),
@@ -671,5 +667,5 @@ def test_full_scale_excludes_best_of_both():
     # the best robustness 1/e
     prior = harmonic_prior(1024)
     model = build_polytope(30, 1024, prior)
-    sol = solve_lp(model, 0.5)
+    sol = Lp(model).solve(0.5)
     assert 0.5 * 0.5801 + 0.5 * 0.3679 > sol.objective

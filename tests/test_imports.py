@@ -69,13 +69,13 @@ def test_hardness_frontier_loads_the_lp_stack(tmp_path):
 
 @pytest.mark.parametrize("optimize_first", [True, False], ids=["optimize-first", "hardness-first"])
 def test_hardness_shares_the_extension_with_scipy_optimize(optimize_first):
-    # either import order leaves one extension module, which linprog and solve_lp both drive
+    # either import order leaves one extension module, which linprog and hardness.Lp both drive
     first, second = ("import scipy.optimize", "from stoppred import hardness")[:: 1 if optimize_first else -1]
     result = _run(
         f"import json, sys\n{first}\n{second}\n"
         "from scipy.optimize import linprog\n"
         "res = linprog([-1.0, -1.0], A_ub=[[1.0, 2.0], [3.0, 1.0]], b_ub=[4.0, 6.0], method='highs')\n"
-        "sol = hardness.solve_lp(hardness.build_polytope(10, 64, hardness.harmonic_prior(64)), 0.5)\n"
+        "sol = hardness.Lp(hardness.build_polytope(10, 64, hardness.harmonic_prior(64))).solve(0.5)\n"
         "driven = sys.modules['scipy.optimize._highspy._highs_wrapper']._h  # the module linprog calls\n"
         f"print(json.dumps([hardness._highs is sys.modules[{HIGHS!r}] is driven, res.status, res.fun, sol.objective]))"
     )
