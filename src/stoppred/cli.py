@@ -164,9 +164,17 @@ def cmd_maxexp_curve(args):
     betas = parse_grid(args.beta_grid) if args.beta_grid else [args.beta]
     if any(b is None for b in betas):
         raise CliError("need --beta or --beta-grid")
-    lines = [manifest_line("maxexp-curve", {"betas": ",".join(_g(b) for b in betas), "m": args.m, "tol": args.tol})]
+    if args.dump_thresholds:
+        # every file name is checked before any point is solved or written
+        names = {}
+        for beta in betas:
+            name = f"theta_beta_{beta:.6f}.csv"
+            if name in names:
+                raise CliError(f"betas {_g(names[name])} and {_g(beta)} both map to the file {name}")
+            names[name] = beta
+    lines = [manifest_line("maxexp-curve", {"betas": ",".join(_g(b) for b in betas), "m": args.m})]
     lines.append("beta,alpha")
-    points = maxexp.tradeoff_curve_maxexp(betas, args.m, args.tol)
+    points = maxexp.tradeoff_curve_maxexp(betas, args.m)
     failures = 0
     for p in points:
         if p.alpha is None:
@@ -368,7 +376,6 @@ def build_parser():
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--beta-grid", default=None, help="a:b:step or comma list")
     p.add_argument("--m", type=int, default=300)
-    p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--dump-thresholds", default=None, metavar="DIR",
                    help="also write the solved threshold CSV per beta")
     common(p)

@@ -137,10 +137,10 @@ def _batches(total, size=_BATCH):
 
 
 def _check_sizes(n, trials):
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    if not (1 <= n < math.inf and int(n) == n):
+        raise ValueError("need integer n >= 1")
+    if not (1 <= trials < math.inf and int(trials) == trials):
+        raise ValueError("need integer trials >= 1")
 
 
 def _scan_batch(rng, b, n, real, predicted, theta):

@@ -16,7 +16,8 @@ per-piece term that analytics._LTable sums, and the first integral is the
 exponential-integral quadrature.log_time_integral.  Each theta_i is one
 bracketed Brent root, so one pass costs O(m) root solves.  A sequence with
 theta_1 >= 1, clamped to min(theta_i, 1), yields a valid robust threshold;
-the outer search bisects on alpha for the feasibility boundary theta_1 = 1.
+the outer search finds the feasibility boundary theta_1 = 1 as a Brent
+root in alpha.
 """
 
 from __future__ import annotations
@@ -106,8 +107,6 @@ def solve_steps(alpha, beta, m):
     """
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    if not 0.0 <= beta <= E_INV + 1e-15:
-        raise ValueError("beta must lie in [0, 1/e]")
     if not (2 <= m < math.inf and int(m) == m):
         raise ValueError("need integer m >= 2")
     pair = lambda_pair(beta)
@@ -143,49 +142,36 @@ def solve_steps(alpha, beta, m):
     )
 
 
-def max_alpha_for_beta(beta, m, tol=1e-4):
+def max_alpha_for_beta(beta, m):
     """Largest consistency alpha whose recursion stays feasible at this beta.
 
-    Bisection on alpha over the feasibility predicate theta_1(alpha) >= 1;
-    theta_1 decreases in alpha (checked empirically on every evaluation), so
-    the predicate is monotone and the boundary is located to width tol.
-    Returns (alpha, solution at alpha).
+    theta_1 decreases in alpha (checked on every solve), so the feasibility
+    boundary theta_1(alpha) = 1 is one bracketed Brent root on [0.3, 1]:
+    the curve never drops below the prior-free value 1/e, so 0.3 is
+    feasible, and alpha = 1 is not.  Returns the largest feasible alpha
+    solved, within 2e-13 of the root, with its solution (alpha, solution).
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     pair = lambda_pair(beta)
     if pair.lambda1 == pair.lambda2:  # the empty band at the peak: the wait-until-1/e rule
         return E_INV, solve_steps(E_INV, beta, m)
-    seen = []
+    solved = {}
 
-    def evaluate(a):
-        sol = solve_steps(a, beta, m)
-        seen.append((a, float(sol.theta_values[0])))
-        for a1, t1 in seen[:-1]:
-            if (a - a1) * (seen[-1][1] - t1) > 0.0:
+    def theta1_minus_one(a):
+        if a not in solved:  # brentq evaluates both ends again
+            sol = solve_steps(a, beta, m)
+            t1 = sol.theta_values[0]
+            if any((a - a1) * (t1 - s1.theta_values[0]) > 0.0 for a1, s1 in solved.items()):
                 raise ArithmeticError("theta_1 is not decreasing in alpha")
-        return sol
+            solved[a] = sol
+        return solved[a].theta_values[0] - 1.0
 
-    # the curve never drops below the prior-free value 1/e, so 0.3 is a safe
-    # feasible start; halving covers numerically awkward cases
-    lo = 0.3
-    best = evaluate(lo)
-    while not best.feasible:
-        lo *= 0.5
-        if lo < 0.02:
-            raise ArithmeticError("recursion infeasible at every probed alpha")
-        best = evaluate(lo)
-    hi = 1.0
-    if evaluate(hi).feasible:
+    if theta1_minus_one(0.3) < 0.0:
+        raise ArithmeticError("recursion infeasible at alpha = 0.3")
+    if theta1_minus_one(1.0) >= 0.0:
         raise ArithmeticError("recursion unexpectedly feasible at alpha = 1")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        sol = evaluate(mid)
-        if sol.feasible:
-            lo, best = mid, sol
-        else:
-            hi = mid
-    return lo, best
+    brentq(theta1_minus_one, 0.3, 1.0, xtol=1e-13, rtol=1e-15)
+    alpha = max(a for a, sol in solved.items() if sol.feasible)
+    return alpha, solved[alpha]
 
 
 @dataclass(frozen=True)
@@ -196,25 +182,23 @@ class CurvePoint:
     error: str | None = None
 
 
-def tradeoff_curve_maxexp(betas, m, tol=1e-4):
+def tradeoff_curve_maxexp(betas, m):
     """max_alpha_for_beta across a beta grid; failures become gaps.
 
     Arguments outside the curve's domain raise ValueError before any point
-    is solved: a beta outside [0, 1/e] (NaN included), m < 2 or tol <= 0.
-    A beta inside it that the recursion cannot solve (beta = 0, where
-    lambda2 = 1) becomes a gap.
+    is solved: a beta outside [0, 1/e] (NaN included) or m < 2.  A beta
+    inside it that the recursion cannot solve (beta = 0, where lambda2 = 1)
+    becomes a gap.
     """
     betas = [float(beta) for beta in betas]
-    if not all(0.0 <= beta <= E_INV + 1e-15 for beta in betas):
-        raise ValueError("beta must lie in [0, 1/e]")
+    for beta in betas:
+        lambda_pair(beta)
     if not (2 <= m < math.inf and int(m) == m):
         raise ValueError("need integer m >= 2")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     points = []
     for beta in betas:
         try:
-            alpha, sol = max_alpha_for_beta(beta, m, tol)
+            alpha, sol = max_alpha_for_beta(beta, m)
         except (ValueError, ArithmeticError) as exc:
             points.append(CurvePoint(beta, None, None, str(exc)))
         else:

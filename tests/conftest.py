@@ -9,7 +9,7 @@ from stoppred.thresholds import ThresholdFn
 @pytest.fixture(scope="session")
 def maxexp_solution_001():
     """Shared expensive artifact: the alpha search at beta = 0.01, m = 300."""
-    alpha, sol = maxexp.max_alpha_for_beta(0.01, 300, 1e-4)
+    alpha, sol = maxexp.max_alpha_for_beta(0.01, 300)
     return alpha, sol
 
 

@@ -7,12 +7,12 @@ Criterion 4 checks the golden point at beta = 0.01, m = 300 in the terms
 the maximal search promises.  The numbers stated for that point, alpha in
 [0.688, 0.693] with theta_1 = 1.0165 +- 0.01, cannot both come out of a
 search for the feasibility boundary theta_1 = 1: theta_1 is continuous and
-decreasing in alpha, so at the returned alpha it lies in
-[1, theta_1(alpha - tol)].  The stated pair mixes two operating points.
+decreasing in alpha, and at the returned alpha, the boundary to within
+2e-13, it is 1 to rounding.  The stated pair mixes two operating points.
 (0.6908, 1.0165) is solve_steps at the fixed alpha 0.6908, a feasible
 interior point that the companion test reproduces; [0.688, 0.693] brackets
 the maximum on a coarser grid (0.69033 at m = 100, against 0.69349 at
-m = 150 and 0.69657 at m = 300; the drift is first order in 1/m).
+m = 150 and 0.69665 at m = 300; the drift is first order in 1/m).
 
 Criterion 5 evaluates L(z) through _LTable, and _LTable and the recursion
 share one piece integral (quadrature._piece_tail), so it checks the solve,
@@ -69,24 +69,26 @@ def test_criterion_03_maxprob_endpoints():
     _report(3, "win-probability curve endpoints", ok, f"alpha(0)={a0:.6f} alpha(1/e)={a_peak:.9f}", t0)
 
 
-# maximum of the m = 300 search at beta = 0.01; the tail check below is the
-# evidence that the rule it returns is this consistent
+# maximum of the m = 300 search at beta = 0.01, as a width-1e-4 bisection
+# found it; the tail check below is the evidence that the rule it returns
+# is this consistent
 ALPHA_MAX_001 = 0.69657
 
 
 def test_criterion_04_maxexp_golden_point_as_stated(maxexp_solution_001):
     t0 = time.time()
-    tol = 1e-4  # the search tolerance the fixture uses
+    tol = 1e-4  # the step of the bisection that found ALPHA_MAX_001
     alpha, sol = maxexp_solution_001
     theta1 = float(sol.theta_values[0])
     # (a) the golden alpha is feasible at m = 300, so the maximum is not below it
     above_golden = alpha >= 0.6908
-    # (b) the search stops within tol of the boundary theta_1 = 1; theta_1
-    # falls about 2.8 per unit alpha there, so it ends below 1 + 3 tol;
+    # (b) the search has no tolerance: it returns the feasible side of the
+    # root theta_1 = 1 within 2e-13, so theta_1 is 1 to rounding there;
     # 1.0165 belongs to the fixed alpha 0.6908 (companion test)
     boundary_ok = 1.0 <= theta1 <= 1.0 + 1e-3
-    # (c) one bisection step (tol) plus 1e-5 for the rounding of the stated
-    # value; the solver's integrals are closed forms, exact to rounding
+    # (c) the root is 0.6966502, and the bisection stopped below it by less
+    # than one step (tol); 1e-5 more covers the rounding of the stated
+    # value.  The solver's integrals are closed forms, exact to rounding
     value_ok = abs(alpha - ALPHA_MAX_001) <= tol + 1e-5
     # (d) simulated tail dominance of the returned rule at level alpha; the
     # rule's tail ratio is about 0.699, so alpha overstated by 0.006 sits

@@ -148,6 +148,21 @@ def test_export_checks_the_grid_before_writing(tmp_path, capsys, grid, message):
     assert not out.exists()
 
 
+def test_dump_thresholds_checks_the_names_before_the_work(tmp_path, capsys, monkeypatch):
+    # two betas that agree to six decimals would write one file twice
+    def never(*args, **kwargs):
+        raise AssertionError("a point was solved although two betas share a file name")
+
+    monkeypatch.setattr("stoppred.maxexp.tradeoff_curve_maxexp", never)
+    dump = tmp_path / "thetas"
+    code, out, err = run_cli(capsys, "maxexp-curve", "--beta-grid", "0.1,0.1000001", "--m", "10",
+                             "--dump-thresholds", str(dump))
+    assert code == 2
+    assert err == "error: betas 0.10000000000000001 and 0.10000009999999999 both map to the file theta_beta_0.100000.csv\n"
+    assert out == ""
+    assert not dump.exists()
+
+
 def test_maxexp_curve_peak_point(capsys):
     code, out, _ = run_cli(capsys, "maxexp-curve", "--beta", str(E_INV), "--m", "40")
     assert code == 0

@@ -251,6 +251,12 @@ def test_run_sharding_matches_literal_loop(n, k, seed, theta):
         lambda: simulate_coupled_sharding(UNIT, UNIT, ONES, 0, 2, 10, 1),
         lambda: simulate_coupled_sharding(UNIT, UNIT, ONES, 5, 2, 0, 1),
         lambda: googol_win_mc([0.2, 0.7], UNIT, ONES, 0, 1),
+        # sizes that are not integers
+        lambda: simulate(UNIT, UNIT, ONES, 40.5, 10, 0),
+        lambda: simulate(UNIT, UNIT, ONES, 2.5, 10, 0),
+        lambda: simulate(UNIT, UNIT, ONES, 5, 2.5, 0),
+        lambda: simulate(UNIT, UNIT, ONES, math.nan, 10, 0),
+        lambda: googol_win_mc([0.2, 0.7], UNIT, ONES, 2.5, 1),
     ],
 )
 def test_engine_rejects_empty_sizes(call):

@@ -34,8 +34,6 @@ def test_validation():
         solve_steps(-0.1, 0.2, 50)
     with pytest.raises(ValueError):
         solve_steps(0.5, 0.2, 1)
-    with pytest.raises(ValueError):
-        max_alpha_for_beta(0.2, 50, tol=0.0)
 
 
 def test_endpoint_equalities_hold():
@@ -66,14 +64,33 @@ def test_alpha_search_monotone_bracket(maxexp_solution_001):
     alpha, sol = maxexp_solution_001
     assert sol.feasible
     assert sol.theta_values[0] >= 1.0
-    # one solver step above the located boundary must be infeasible
-    assert not solve_steps(alpha + 2e-4, 0.01, 300).feasible
+    # the located alpha is the boundary theta_1 = 1 to within 1e-9
+    assert not solve_steps(alpha + 1e-9, 0.01, 300).feasible
+
+
+@pytest.mark.parametrize(
+    "beta, m, root",
+    [(0.01, 40, 0.6762077461512), (0.3, 40, 0.5953540157733)],
+)
+def test_boundary_search_solves_few_passes(monkeypatch, beta, m, root):
+    # the Brent root takes 10 recursion passes here; a width-1e-4 bisection took 15
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_steps(*args)
+
+    monkeypatch.setattr("stoppred.maxexp.solve_steps", counted)
+    alpha, sol = max_alpha_for_beta(beta, m)
+    assert len(calls) <= 12
+    assert alpha == pytest.approx(root, abs=1e-12)
+    assert sol.feasible and not solve_steps(alpha + 1e-9, beta, m).feasible
 
 
 def test_grid_refinement_stability(maxexp_solution_001):
     # measured drift between m = 150 and m = 300 is 0.0031: the endpoint
     # scheme certifies slightly more on finer grids (first order in 1/m)
-    a150, _ = max_alpha_for_beta(0.01, 150, 1e-4)
+    a150, _ = max_alpha_for_beta(0.01, 150)
     a300, _ = maxexp_solution_001
     assert abs(a150 - a300) <= 0.004
 
@@ -83,7 +100,7 @@ ALPHA_QUARTER_GOLDEN = 0.63667
 
 
 def test_golden_quarter_point():
-    alpha, sol = max_alpha_for_beta(0.25, 300, 1e-4)
+    alpha, sol = max_alpha_for_beta(0.25, 300)
     assert alpha == pytest.approx(ALPHA_QUARTER_GOLDEN, abs=2e-3)
     assert check_consistency_conditions(sol.threshold(), alpha, sol.pair, grid=400) >= -1e-6
 
@@ -91,7 +108,7 @@ def test_golden_quarter_point():
 def test_curve_beats_linear_interpolation():
     # mixing the full-information rule (0.745 at robustness 0) with the
     # wait-until-1/e rule only achieves the connecting segment
-    alpha, _ = max_alpha_for_beta(0.1, 150, 1e-4)
+    alpha, _ = max_alpha_for_beta(0.1, 150)
     segment = 0.745 + (E_INV - 0.745) * (0.1 / E_INV)
     assert alpha > segment + 0.02
 
