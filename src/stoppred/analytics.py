@@ -23,9 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._expint import e1
+from ._expint import _series, e1
 from ._roots import brentq
-from .priors import lambda_pair
+from .priors import _count, lambda_pair
 from .quadrature import _piece_tail, log_time_integral, pow_integral
 
 __all__ = [
@@ -41,13 +41,12 @@ _CHUNK = 256  # powers of k that win_probability sums per pass
 
 
 def c_series(c):
-    """sum_{k=1}^{60} c**k / (k! k); the tail beyond 60 terms is < 1e-60 for c < 1."""
-    total = 0.0
-    term = 1.0
-    for k in range(1, 61):
-        term *= c / k
-        total += term / k
-    return total
+    """sum_{k>=1} c**k / (k! k) for c in [0, 1].
+
+    This is the series S(c) of the exponential integrals, which
+    _expint._series sums to 18 terms, exact to rounding for |c| <= 1.
+    """
+    return _series(c)
 
 
 @lru_cache(maxsize=1)
@@ -152,9 +151,7 @@ def win_probability(theta, n):
     0.1 ms at n = 10, 8 ms at n = 10^4 and 0.65 s at n = 10^6 (one core of
     an Intel Xeon).
     """
-    if not (1 <= n < math.inf and int(n) == n):
-        raise ValueError("need integer n >= 1")
-    n = int(n)
+    n = _count(n, "n")
     b = theta.breakpoints
     a = np.concatenate([[0.0], b[:-1]])
     v = theta.values
@@ -223,18 +220,20 @@ class _LTable:
         return total
 
 
-def check_consistency_conditions(theta, alpha, pair, grid=1000):
-    """Worst slack of the consistency conditions over a z-grid.
+def check_consistency_conditions(theta, alpha, pair):
+    """Worst slack of the consistency conditions, exactly.
 
     Returns min over z in [lambda1, lambda2] of L(z) - alpha * theta(z),
     with L(z) the consistency integral of _LTable; a non-negative result
     verifies the sufficient conditions at level alpha for the robustified
-    threshold.
+    threshold.  L does not increase in z, as theta does not, and theta is
+    constant on each piece (a, b], so on a piece the least slack is at its
+    right end within the band: the minimum runs over z = min(b, lambda2)
+    for the pieces with b >= lambda1 and a < lambda2.
     """
     table = _LTable(theta)
-    zs = np.linspace(pair.lambda1, pair.lambda2, grid)
-    worst = math.inf
-    for z in zs:
-        slack = table.value(z) - alpha * theta.eval(z)
-        worst = min(worst, slack)
-    return worst
+    return min(
+        table.value(min(b, pair.lambda2)) - alpha * v
+        for a, b, v in theta.pieces()
+        if b >= pair.lambda1 and a < pair.lambda2
+    )

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .priors import power_root_cdf
+from .priors import _count, power_root_cdf
 
 _BATCH = 4096  # fixed so that a seed pins the whole random stream
 # simulate and accepted_value_samples draw record rows from this n on and
@@ -98,9 +98,7 @@ def run_sharding(values, k, predicted, theta, rng):
     exceeds the threshold at its virtual time.
     """
     values = np.asarray(values, dtype=float)
-    if not (1 <= k < math.inf and int(k) == k):
-        raise ValueError("need integer k >= 1")
-    k = int(k)
+    k = _count(k, "k")
     n = len(values)
     shard_prior = power_root_cdf(predicted, k)
     t_sorted = np.sort(rng.random(n * k))
@@ -134,13 +132,6 @@ def _batches(total, size=_BATCH):
         b = min(size, total - done)
         yield b
         done += b
-
-
-def _check_sizes(n, trials):
-    if not (1 <= n < math.inf and int(n) == n):
-        raise ValueError("need integer n >= 1")
-    if not (1 <= trials < math.inf and int(trials) == trials):
-        raise ValueError("need integer trials >= 1")
 
 
 def _scan_batch(rng, b, n, real, predicted, theta):
@@ -217,9 +208,9 @@ def _row_batches(real, predicted, theta, n, trials, seed):
     """(pos, accepted, maximum) per batch of simulated rows.
 
     Record rows from n = RECORD_ROWS_MIN_N on, full rows below it; either
-    way a seed pins the whole random stream.
+    way a seed pins the whole random stream.  The callers check n and trials
+    and pass them as ints.
     """
-    _check_sizes(n, trials)
     if real.quantile(0.0) < 0.0:
         raise ValueError("real prior must be supported on [0, inf)")
     batch = _record_batch if n >= RECORD_ROWS_MIN_N else _scan_batch
@@ -229,6 +220,7 @@ def _row_batches(real, predicted, theta, n, trials, seed):
 
 def accepted_value_samples(real, predicted, theta, n, trials, seed):
     """Per-trial (accepted value, maximum value); 0 marks no acceptance."""
+    n, trials = _count(n, "n"), _count(trials, "trials")
     batches = _row_batches(real, predicted, theta, n, trials, seed)
     accepted = np.empty(trials)
     maxima = np.empty(trials)
@@ -247,6 +239,7 @@ def simulate(real, predicted, theta, n, trials, seed):
     times; the threshold consults the (possibly different) predicted prior.
     Deterministic for a fixed seed.
     """
+    n, trials = _count(n, "n"), _count(trials, "trials")
     return _sim_report(_row_batches(real, predicted, theta, n, trials, seed), trials)
 
 
@@ -295,8 +288,7 @@ def googol_win_mc(values, predicted, theta, trials, seed):
         raise ValueError("values must be distinct")
     if not np.all(values >= 0.0):  # written so that a NaN fails it
         raise ValueError("values must be non-negative")
-    n = len(values)
-    _check_sizes(n, trials)
+    n, trials = _count(len(values), "n"), _count(trials, "trials")
     vmax = values.max()
     rng = np.random.default_rng(seed)
     wins = 0
@@ -336,10 +328,7 @@ def simulate_coupled_sharding(real, predicted, theta, n, k, trials, seed):
     realization makes the sharding value dominate; the return value counts
     violations of that dominance (expected 0).
     """
-    if not (1 <= k < math.inf and int(k) == k):
-        raise ValueError("need integer k >= 1")
-    k = int(k)
-    _check_sizes(n, trials)
+    n, k, trials = _count(n, "n"), _count(k, "k"), _count(trials, "trials")
     rng = np.random.default_rng(seed)
     shard_real = power_root_cdf(real, k)
     shard_pred = power_root_cdf(predicted, k)

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .priors import DiscretePrior
+from .priors import DiscretePrior, _count
 
 _HIGHS_MODULE = "scipy.optimize._highspy._core"  # the HiGHS binding linprog(method="highs") drives
 
@@ -112,8 +112,7 @@ FEASIBILITY_TOL = 1e-7  # largest constraint or bound violation a solution may s
 
 def harmonic_prior(K):
     """Discrete prior with pmf proportional to 1/k on {1..K}."""
-    if not (1 <= K < math.inf and int(K) == K):
-        raise ValueError("need integer K >= 1")
+    K = _count(K, "K")
     w = 1.0 / np.arange(1, K + 1)
     return DiscretePrior(w / w.sum())
 
@@ -147,6 +146,7 @@ def delta_table(pmf, n):
     Delta^t(l) = F(l)^t - F(l-1)^t, computed as F(l)^t times the scaled
     table of _scaled_delta, which build_polytope's rows carry.
     """
+    n = _count(n, "n", 0)
     F, Fm1 = _cdf_pair(_pmf_array(pmf))
     with np.errstate(invalid="ignore"):
         D = _scaled_delta(Fm1 / F, n)  # F(l) = 0 gives a NaN ratio, and F(l)^t D[t, l] = 0
@@ -258,10 +258,7 @@ def build_polytope(n, K, pmf):
     solver's feasibility tolerance at full scale and silently void the
     robustness rows.
     """
-    if not (1 <= n < math.inf and int(n) == n and 1 <= K < math.inf and int(K) == K):
-        raise ValueError("need integers n >= 1 and K >= 1")
-    n = int(n)
-    K = int(K)
+    n, K = _count(n, "n"), _count(K, "K")
     pmf = _pmf_array(pmf)
     if len(pmf) != K:
         raise ValueError("pmf length must equal K")

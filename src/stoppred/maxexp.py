@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._roots import brentq
-from .priors import E_INV, LambdaPair, lambda_pair
+from .priors import E_INV, LambdaPair, _count, lambda_pair
 from .quadrature import _piece_tail, log_time_integral
 from .thresholds import ThresholdFn, dynkin_threshold, robustify
 
@@ -107,14 +107,13 @@ def solve_steps(alpha, beta, m):
     """
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    if not (2 <= m < math.inf and int(m) == m):
-        raise ValueError("need integer m >= 2")
+    m = _count(m, "m", 2)
     pair = lambda_pair(beta)
     if pair.lambda1 == pair.lambda2:
         return StepSolution(
             beta=float(beta),
             pair=pair,
-            m=int(m),
+            m=m,
             alpha=float(alpha),
             theta_values=np.empty(0),
             feasible=alpha <= E_INV + 1e-12,
@@ -135,7 +134,7 @@ def solve_steps(alpha, beta, m):
     return StepSolution(
         beta=float(beta),
         pair=pair,
-        m=int(m),
+        m=m,
         alpha=float(alpha),
         theta_values=thetas,
         feasible=bool(thetas[0] >= 1.0),
@@ -193,8 +192,7 @@ def tradeoff_curve_maxexp(betas, m):
     betas = [float(beta) for beta in betas]
     for beta in betas:
         lambda_pair(beta)
-    if not (2 <= m < math.inf and int(m) == m):
-        raise ValueError("need integer m >= 2")
+    m = _count(m, "m", 2)
     points = []
     for beta in betas:
         try:

@@ -10,6 +10,10 @@ Two kinds of priors appear throughout:
 The module also solves ``-lambda * ln(lambda) = beta`` for the two roots
 ``lambda1 <= 1/e <= lambda2`` that delimit the prior-free phases of a robust
 threshold function.
+
+It is also the home of the argument checks that every module shares:
+``_check_probability`` for levels in [0, 1] and ``_count`` for the counts
+(n values, m steps, k shards, a support of size K, Monte Carlo trials).
 """
 
 from __future__ import annotations
@@ -50,6 +54,13 @@ def _check_probability(q):
     if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):
         raise ValueError("probability argument outside [0, 1]")
     return arr, scalar
+
+
+def _count(x, name, least=1):
+    """int(x) for an integer-valued x >= least, so that 10.0 counts as 10; NaN and +-inf fail."""
+    if not (least <= x < math.inf and int(x) == x):
+        raise ValueError(f"need integer {name} >= {least}")
+    return int(x)
 
 
 class Prior:
@@ -118,10 +129,8 @@ class PowerRoot(Prior):
     def __init__(self, base, k):
         if base.kind != "continuous":
             raise ValueError("power-root priors require a continuous base")
-        if not (1 <= k < math.inf and int(k) == k):
-            raise ValueError("need integer k >= 1")
+        self.k = _count(k, "k")
         self.base = base
-        self.k = int(k)
 
     def __repr__(self):
         return f"PowerRoot({self.base!r}, {self.k})"
@@ -139,9 +148,7 @@ class PowerRoot(Prior):
 
 def power_root_cdf(prior, k):
     """Prior with cdf equal to ``cdf(prior, .) ** (1/k)``; k = 1 returns prior."""
-    if not (1 <= k < math.inf and int(k) == k):
-        raise ValueError("need integer k >= 1")
-    if k == 1:
+    if _count(k, "k") == 1:
         return prior
     return PowerRoot(prior, k)
 
@@ -199,9 +206,9 @@ class DiscretePrior(Prior):
         The returned prior has support {1, ..., k} and cdf equal to
         ``cdf(l) / cdf(k)`` for l <= k.
         """
-        if not (1 <= k <= self.support_size and int(k) == k):
+        k = _count(k, "k")
+        if k > self.support_size:
             raise ValueError("truncation level outside the support")
-        k = int(k)
         mass = self._cum[k - 1]
         if mass <= 0.0:
             raise ValueError("no probability mass at or below the truncation level")

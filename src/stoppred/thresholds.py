@@ -15,12 +15,12 @@ lambda1 and 0 from lambda2 on.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
 from ._roots import brentq
+from .priors import _count
 
 __all__ = [
     "ThresholdFn",
@@ -113,8 +113,7 @@ def dynkin_threshold(lam):
 
 def single_threshold(n):
     """Constant level 1 - 1/n."""
-    if not (1 <= n < math.inf and int(n) == n):
-        raise ValueError("need integer n >= 1")
+    n = _count(n, "n")
     return ThresholdFn([1.0], [1.0 - 1.0 / n])
 
 
@@ -124,6 +123,11 @@ def robustify(theta, pair):
     In between, the input levels are kept (clamped to at most 1).  With
     lambda1 = lambda2 the middle band is empty and the result is the
     classical wait-then-accept rule at that point.
+
+    Every pair lambda_pair returns has 0 <= lambda1 <= lambda2 <= 1, and
+    then the result ends at 1: lambda2 < 1 appends the 0 piece, and
+    lambda2 = 1 keeps the piece of theta that ends at 1.  A hand-built pair
+    that leaves the result short of 1 gets ThresholdFn's ValueError.
     """
     lam1, lam2 = pair.lambda1, pair.lambda2
     breaks, vals = [], []
@@ -139,12 +143,6 @@ def robustify(theta, pair):
     if lam2 < 1.0:
         breaks.append(1.0)
         vals.append(0.0)
-    if not breaks or breaks[-1] != 1.0:
-        # lam2 == 1: extend the final kept piece to the right endpoint
-        if breaks:
-            breaks[-1] = 1.0
-        else:
-            breaks, vals = [1.0], [min(theta.eval(1.0), 1.0)]
     breaks, vals = _simplify(breaks, vals)
     return ThresholdFn(breaks, vals)
 
@@ -178,7 +176,7 @@ def _gm_root(n):
 
 def _gm_levels(n, s):
     # 1 / (1 + y_n / (1 - s)) with y_n = c_n / (n - 1), as gm_threshold_value derives
-    return 1.0 / (1.0 + _gm_root(int(n)) / ((n - 1) * (1.0 - s)))
+    return 1.0 / (1.0 + _gm_root(n) / ((n - 1) * (1.0 - s)))
 
 
 def gm_threshold_value(n, s):
@@ -191,8 +189,7 @@ def gm_threshold_value(n, s):
     1 / (1 + y_n / (1-s)), solved once per n.  The level at s = 1 is 0 by
     the boundary condition.
     """
-    if not (2 <= n < math.inf and int(n) == n):
-        raise ValueError("need integer n >= 2")
+    n = _count(n, "n", 2)
     s = float(s)
     if not (0.0 <= s <= 1.0):
         raise ValueError("s must lie in [0, 1]")
@@ -208,10 +205,7 @@ def gm_threshold(n, m):
     function upper-bounds the exact threshold and stays strictly positive on
     all of [0, 1]; the exact level reaches 0 only at the single point s = 1.
     """
-    if not (2 <= n < math.inf and int(n) == n):
-        raise ValueError("need integer n >= 2")
-    if not (2 <= m < math.inf and int(m) == m):
-        raise ValueError("need integer m >= 2")
+    n, m = _count(n, "n", 2), _count(m, "m", 2)
     vals = _gm_levels(n, np.arange(m) / m)
     breaks = np.arange(1, m + 1) / m
     breaks[-1] = 1.0

@@ -124,7 +124,7 @@ def test_criterion_04_companion_reference_point_reproduced():
 def test_criterion_05_condition_check(maxexp_solution_001):
     t0 = time.time()
     alpha, sol = maxexp_solution_001
-    worst = analytics.check_consistency_conditions(sol.threshold(), alpha, sol.pair, grid=1000)
+    worst = analytics.check_consistency_conditions(sol.threshold(), alpha, sol.pair)
     ok = worst >= -1e-6 and time.time() - t0 < 60.0
     _report(5, "sufficient conditions on solved threshold", ok, f"worst residual={worst:.2e}", t0)
 

@@ -386,13 +386,33 @@ def test_consistency_integral_brute_force_spot():
 def test_check_thm11_alpha_zero_nonnegative():
     rng = np.random.default_rng(23)
     theta = robustify(random_step_threshold(rng), lambda_pair(0.2))
-    assert check_consistency_conditions(theta, 0.0, lambda_pair(0.2), grid=200) >= 0.0
+    assert check_consistency_conditions(theta, 0.0, lambda_pair(0.2)) >= 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, E_INV), st.floats(0.0, 1.0))
+def test_check_thm11_is_the_band_minimum(seed, beta, alpha):
+    # no z in the band has less slack than the result, and a piece end
+    # in the band (or lambda2) has exactly that slack
+    pair = lambda_pair(beta)
+    theta = robustify(random_step_threshold(np.random.default_rng(seed)), pair)
+    table = _LTable(theta)
+
+    def slack(z):
+        return table.value(z) - alpha * theta.eval(z)
+
+    worst = check_consistency_conditions(theta, alpha, pair)
+    dense = np.linspace(pair.lambda1, pair.lambda2, 1001)
+    assert worst <= min(slack(z) for z in dense) + 1e-12
+    bp = theta.breakpoints
+    ends = np.append(bp[(bp >= pair.lambda1) & (bp <= pair.lambda2)], pair.lambda2)
+    assert worst == min(slack(z) for z in ends)
 
 
 def test_check_thm11_full_consistency_unattainable():
     pair = lambda_pair(E_INV)
     theta = robustify(dynkin_threshold(E_INV), pair)
-    worst = check_consistency_conditions(theta, 1.0, pair, grid=10)
+    worst = check_consistency_conditions(theta, 1.0, pair)
     assert worst < -0.5  # L(1/e) = 1/e against alpha * theta = 1
 
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -348,6 +349,51 @@ def test_non_finite_library_arguments_are_value_errors(call):
     # OverflowError would be an ArithmeticError, a "numerical failure"
     with pytest.raises(ValueError):
         call()
+
+
+# every count argument of the library, each taken as a function of a cast
+# applied to the count
+COUNTS = [
+    pytest.param(lambda c: priors.PowerRoot(UNIT, c(3)), id="power-root"),
+    pytest.param(lambda c: priors.power_root_cdf(UNIT, c(3)), id="power-root-cdf"),
+    pytest.param(lambda c: priors.DiscretePrior([0.25, 0.25, 0.5]).truncate(c(2)), id="truncate"),
+    pytest.param(lambda c: thresholds.single_threshold(c(10)), id="single-threshold"),
+    pytest.param(lambda c: thresholds.gm_threshold_value(c(10), 0.4), id="gm-threshold-value"),
+    pytest.param(lambda c: thresholds.gm_threshold(c(10), 300), id="gm-threshold-n"),
+    pytest.param(lambda c: thresholds.gm_threshold(10, c(300)), id="gm-threshold-m"),
+    pytest.param(lambda c: analytics.win_probability(DYNKIN, c(10)), id="win-probability"),
+    pytest.param(lambda c: maxexp.solve_steps(0.6, 0.1, c(40)), id="solve-steps"),
+    pytest.param(lambda c: maxexp.max_alpha_for_beta(0.1, c(40)), id="max-alpha-for-beta"),
+    pytest.param(lambda c: maxexp.tradeoff_curve_maxexp([0.1], c(40)), id="maxexp-curve"),
+    pytest.param(lambda c: engine.run_sharding([0.3, 0.9, 0.5], c(3), UNIT, DYNKIN, np.random.default_rng(4)),
+                 id="run-sharding"),
+    pytest.param(lambda c: engine.simulate(UNIT, UNIT, DYNKIN, c(10), 500, 3), id="simulate-n"),
+    pytest.param(lambda c: engine.simulate(UNIT, UNIT, DYNKIN, c(40), 500, 3), id="simulate-record-rows-n"),
+    pytest.param(lambda c: engine.simulate(UNIT, UNIT, DYNKIN, 10, c(500), 3), id="simulate-trials"),
+    pytest.param(lambda c: engine.accepted_value_samples(UNIT, UNIT, DYNKIN, c(10), 50, 3), id="samples-n"),
+    pytest.param(lambda c: engine.accepted_value_samples(UNIT, UNIT, DYNKIN, 10, c(50), 3), id="samples-trials"),
+    pytest.param(lambda c: engine.googol_win_mc([0.3, 0.9, 0.5], UNIT, DYNKIN, c(500), 3), id="googol-mc-trials"),
+    pytest.param(lambda c: engine.simulate_coupled_sharding(UNIT, UNIT, DYNKIN, c(4), 2, 50, 3), id="coupled-n"),
+    pytest.param(lambda c: engine.simulate_coupled_sharding(UNIT, UNIT, DYNKIN, 4, c(2), 50, 3), id="coupled-k"),
+    pytest.param(lambda c: engine.simulate_coupled_sharding(UNIT, UNIT, DYNKIN, 4, 2, c(50), 3), id="coupled-trials"),
+    pytest.param(lambda c: hardness.harmonic_prior(c(8)), id="harmonic-prior"),
+    pytest.param(lambda c: hardness.build_polytope(c(3), 4, [0.1, 0.2, 0.3, 0.4]), id="build-polytope-n"),
+    pytest.param(lambda c: hardness.build_polytope(3, c(4), [0.1, 0.2, 0.3, 0.4]), id="build-polytope-k"),
+    pytest.param(lambda c: hardness.delta_table([0.1, 0.2, 0.3, 0.4], c(3)), id="delta-table"),
+]
+
+
+@pytest.mark.parametrize("call", COUNTS)
+def test_integer_valued_float_counts_are_counts(call):
+    # the pickles tell 10 from 10.0 and compare arrays bit for bit
+    assert pickle.dumps(call(float)) == pickle.dumps(call(int))
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", COUNTS)
+def test_non_integer_counts_are_value_errors(call, bad):
+    with pytest.raises(ValueError):
+        call(lambda _: bad)
 
 
 @pytest.mark.parametrize(

@@ -7,15 +7,17 @@ scipy.optimize package nor scipy.sparse loads with it.  And each module's
 import ast
 import importlib
 import json
+import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import stoppred
-from stoppred import cli
+from stoppred import cli, priors
 
 HIGHS = "scipy.optimize._highspy._core"
 LP_STACK = ("stoppred.hardness", HIGHS)
@@ -172,3 +174,11 @@ def test_all_lists_exactly_the_public_names(module):
         target = importlib.import_module(f"stoppred.{module}")
     for name in listed:
         assert hasattr(target, name), f"stoppred.{module}.__all__ lists {name!r}, which does not resolve"
+
+
+def test_counts_are_checked_in_one_place():
+    # what counts as an integer (is 10.0 a count?) is decided by priors._count alone
+    check = re.compile(r"\bint\(([\w.]+)\) == \1\b")
+    hits = {p.stem: len(check.findall(p.read_text())) for p in PACKAGE.glob("*.py")}
+    assert {module: n for module, n in hits.items() if n} == {"priors": 1}
+    assert len(check.findall(inspect.getsource(priors._count))) == 1

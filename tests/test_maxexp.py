@@ -56,7 +56,7 @@ def test_l_is_nonincreasing_on_grid():
 
 def test_solution_threshold_passes_condition_check(maxexp_solution_001):
     alpha, sol = maxexp_solution_001
-    worst = check_consistency_conditions(sol.threshold(), alpha, sol.pair, grid=1000)
+    worst = check_consistency_conditions(sol.threshold(), alpha, sol.pair)
     assert worst >= -1e-6
 
 
@@ -102,7 +102,7 @@ ALPHA_QUARTER_GOLDEN = 0.63667
 def test_golden_quarter_point():
     alpha, sol = max_alpha_for_beta(0.25, 300)
     assert alpha == pytest.approx(ALPHA_QUARTER_GOLDEN, abs=2e-3)
-    assert check_consistency_conditions(sol.threshold(), alpha, sol.pair, grid=400) >= -1e-6
+    assert check_consistency_conditions(sol.threshold(), alpha, sol.pair) >= -1e-6
 
 
 def test_curve_beats_linear_interpolation():
