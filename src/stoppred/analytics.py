@@ -26,7 +26,7 @@ import numpy as np
 from ._expint import _series, e1
 from ._roots import brentq
 from .priors import _count, lambda_pair
-from .quadrature import _piece_tail, log_time_integral, pow_integral
+from .quadrature import _piece_tail, pow_integral
 
 __all__ = [
     "c_series",
@@ -191,8 +191,13 @@ class _LTable:
                [ int_a^b (t - a) v^t / t dt + (b - a) int_b^1 v^t / t dt ],
 
     where the piece holding z counts from z on.  The bracket of each whole
-    piece is quadrature._piece_tail, cached with its suffix sums, so that a
-    query costs two closed-form integrals.
+    piece is quadrature._piece_tail, cached with its suffix sums.  For z in
+    the piece (a, b] at level v the z-terms collapse, as
+    z int_z^1 - z int_z^b = z int_b^1 of v^t / t dt, to
+
+        L(z) = (suffix past the piece) + int_z^b v^t dt + b int_b^1 v^t / t dt,
+
+    so that a query costs one closed-form integral.
     """
 
     def __init__(self, theta):
@@ -206,18 +211,8 @@ class _LTable:
         if z >= 1.0:
             return 0.0
         p = int(np.searchsorted(self.breaks, z, side="left"))
-        v_z = self.vals[p]
-        total = self.suffix[p + 1]
-        if z > 0.0 and v_z > 0.0:
-            total += z * log_time_integral(v_z, z, 1.0)
-        b_p = self.breaks[p]
-        v_p = self.vals[p]
-        if z < b_p and v_p > 0.0:
-            part = pow_integral(v_p, z, b_p)
-            if z > 0.0:
-                part -= z * log_time_integral(v_p, z, b_p)
-            total += part + (b_p - z) * self.b_tail[p]
-        return total
+        b = self.breaks[p]
+        return self.suffix[p + 1] + pow_integral(self.vals[p], z, b) + b * self.b_tail[p]
 
 
 def check_consistency_conditions(theta, alpha, pair):

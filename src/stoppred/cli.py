@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import analytics, engine, maxexp, thresholds
-from .priors import E_INV, DiscretePrior, Exponential, Uniform, lambda_pair
+from .priors import E_INV, DiscretePrior, Exponential, Uniform, harmonic_prior, lambda_pair
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,9 +48,7 @@ def parse_prior(spec):
         if kind == "exp":
             return Exponential(float(arg))
         if kind == "harmonic":
-            from . import hardness  # the LP stack loads only for LP commands
-
-            return hardness.harmonic_prior(int(arg))
+            return harmonic_prior(int(arg))
         if kind == "pmf":
             with open(arg) as fh:
                 probs = [float(line) for line in fh if line.strip()]
@@ -161,9 +159,7 @@ def cmd_maxexp_curve(args):
     _check_m(args.m)
     _check_out(args.out)
     _check_out(args.dump_thresholds, creates_dir=True)
-    betas = parse_grid(args.beta_grid) if args.beta_grid else [args.beta]
-    if any(b is None for b in betas):
-        raise CliError("need --beta or --beta-grid")
+    betas = parse_grid(args.beta_grid)
     if args.dump_thresholds:
         # every file name is checked before any point is solved or written
         names = {}
@@ -194,9 +190,7 @@ def cmd_maxexp_curve(args):
 
 def cmd_maxprob_curve(args):
     _check_out(args.out)
-    betas = parse_grid(args.beta_grid) if args.beta_grid else [args.beta]
-    if any(b is None for b in betas):
-        raise CliError("need --beta or --beta-grid")
+    betas = parse_grid(args.beta_grid)
     lines = [manifest_line("maxprob-curve", {"betas": ",".join(_g(b) for b in betas)})]
     lines.append("beta,alpha")
     for beta in betas:
@@ -253,7 +247,7 @@ def cmd_hardness_frontier(args):
     _check_out(args.out, creates_dir=args.solver == "export")
     from . import hardness
 
-    prior = hardness.harmonic_prior(args.k_support)
+    prior = harmonic_prior(args.k_support)
     lambdas = parse_grid(args.lambda_grid)
     params = {"n": args.n, "k_support": args.k_support, "lambdas": args.lambda_grid, "solver": args.solver}
     if args.solver == "export":
@@ -373,8 +367,7 @@ def build_parser():
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("maxexp-curve", help="expectation-objective trade-off curve")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--beta-grid", default=None, help="a:b:step or comma list")
+    p.add_argument("--beta-grid", "--beta", required=True, help="a:b:step or comma list")
     p.add_argument("--m", type=int, default=300)
     p.add_argument("--dump-thresholds", default=None, metavar="DIR",
                    help="also write the solved threshold CSV per beta")
@@ -382,8 +375,7 @@ def build_parser():
     p.set_defaults(func=cmd_maxexp_curve)
 
     p = sub.add_parser("maxprob-curve", help="probability-objective trade-off curve")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--beta-grid", default=None)
+    p.add_argument("--beta-grid", "--beta", required=True, help="a:b:step or comma list")
     common(p)
     p.set_defaults(func=cmd_maxprob_curve)
 

@@ -164,11 +164,6 @@ def _record_batch(rng, b, n, real, predicted, theta):
     best-so-far value.  Returns (pos, accepted, maximum); pos counts records.
     """
     continuous = real.kind == "continuous"
-    # H_n plus six standard deviations stays below 32 columns up to n = 1e5;
-    # a longer row doubles the width
-    width = 32
-    vals = np.full((b, width), -1.0)
-    times = np.ones((b, width))
     rows = np.arange(b)
     # Beta(1, m) is the first of m uniforms: 1 - t = V ** (1/m) with V
     # uniform on (0, 1]; the time is carried as log(1 - t)
@@ -177,19 +172,16 @@ def _record_batch(rng, b, n, real, predicted, theta):
     x = real.quantile(u)
     level = u if continuous else real.cdf_left(x)
     later = rng.binomial(n - 1, 1.0 - level)
-    col = 0
+    val_cols, time_cols = [], []  # one column per record
     while True:
-        vals[rows, col] = x
-        times[rows, col] = -np.expm1(log_rest)
+        val_cols.append(np.full(b, -1.0))
+        time_cols.append(np.ones(b))
+        val_cols[-1][rows] = x
+        time_cols[-1][rows] = -np.expm1(log_rest)
         live = np.flatnonzero(later)
         if len(live) == 0:
             break
         rows, log_rest, level, later = rows[live], log_rest[live], level[live], later[live]
-        col += 1
-        if col == width:
-            width *= 2
-            vals = np.concatenate([vals, np.full_like(vals, -1.0)], axis=1)
-            times = np.concatenate([times, np.ones_like(times)], axis=1)
         log_rest = log_rest + np.log1p(-rng.random(len(rows))) / later
         # u' ~ U(l, 1), kept off 1, where an unbounded quantile is inf, and
         # for a discrete prior off l, whose quantile is the point below x
@@ -199,7 +191,7 @@ def _record_batch(rng, b, n, real, predicted, theta):
         above = u if continuous else real.cdf_left(x)
         later = rng.binomial(later - 1, (1.0 - above) / (1.0 - level))
         level = above
-    vals, times = vals[:, : col + 1], times[:, : col + 1]
+    vals, times = np.stack(val_cols, axis=1), np.stack(time_cols, axis=1)
     pos, acc = scan_first_accept(vals, times, predicted, theta)
     return pos, acc, vals.max(axis=1)
 

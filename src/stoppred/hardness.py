@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .priors import DiscretePrior, _count
+from .priors import DiscretePrior, _count, harmonic_prior  # also read as hardness.harmonic_prior
 
 _HIGHS_MODULE = "scipy.optimize._highspy._core"  # the HiGHS binding linprog(method="highs") drives
 
@@ -90,7 +90,6 @@ _highs = _load_highs(os.path.join(scipy.__path__[0], "optimize", "_highspy"))
 
 __all__ = [
     "FEASIBILITY_TOL",
-    "harmonic_prior",
     "Csr",
     "PolytopeModel",
     "build_polytope",
@@ -108,13 +107,6 @@ __all__ = [
 ]
 
 FEASIBILITY_TOL = 1e-7  # largest constraint or bound violation a solution may show
-
-
-def harmonic_prior(K):
-    """Discrete prior with pmf proportional to 1/k on {1..K}."""
-    K = _count(K, "K")
-    w = 1.0 / np.arange(1, K + 1)
-    return DiscretePrior(w / w.sum())
 
 
 def _pmf_array(pmf):

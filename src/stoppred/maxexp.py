@@ -30,7 +30,7 @@ import numpy as np
 from ._roots import brentq
 from .priors import E_INV, LambdaPair, _count, lambda_pair
 from .quadrature import _piece_tail, log_time_integral
-from .thresholds import ThresholdFn, dynkin_threshold, robustify
+from .thresholds import _MONO_TOL, ThresholdFn, dynkin_threshold, robustify
 
 __all__ = ["StepSolution", "solve_steps", "max_alpha_for_beta", "tradeoff_curve_maxexp", "CurvePoint"]
 
@@ -129,7 +129,7 @@ def solve_steps(alpha, beta, m):
         if i > 0:
             # tail term of piece (z_i, z_{i+1}] for the next steps
             tail += _piece_tail(theta, z[i], z[i + 1])[0]
-    if np.any(np.diff(thetas) > 1e-9):
+    if np.any(np.diff(thetas) > _MONO_TOL):  # the rise ThresholdFn accepts
         raise ArithmeticError("step values failed to come out non-increasing")
     return StepSolution(
         beta=float(beta),

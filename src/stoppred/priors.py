@@ -4,12 +4,14 @@ Two kinds of priors appear throughout:
 
 * continuous priors with full support, represented by a (cdf, quantile) pair
   so that algorithms can work purely in quantile space;
-* discrete priors over the integer support {1, ..., K}, given by a pmf, used
-  by the hardness construction.
+* discrete priors over the integer support {1, ..., K}, given by a pmf,
+  such as the harmonic prior (pmf proportional to 1/k) of the hardness
+  construction.
 
 The module also solves ``-lambda * ln(lambda) = beta`` for the two roots
 ``lambda1 <= 1/e <= lambda2`` that delimit the prior-free phases of a robust
-threshold function.
+threshold function, each as a Brent root (stoppred._roots.brentq) in
+u = -ln(lambda).
 
 It is also the home of the argument checks that every module shares:
 ``_check_probability`` for levels in [0, 1] and ``_count`` for the counts
@@ -23,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._roots import brentq
+
 E_INV = 1.0 / math.e
 
 __all__ = [
@@ -31,10 +35,10 @@ __all__ = [
     "Exponential",
     "PowerRoot",
     "DiscretePrior",
+    "harmonic_prior",
     "power_root_cdf",
     "LambdaPair",
     "lambda_pair",
-    "neg_lambda_log",
     "E_INV",
 ]
 
@@ -215,11 +219,11 @@ class DiscretePrior(Prior):
         return DiscretePrior(self.pmf[:k] / mass)
 
 
-def neg_lambda_log(lam):
-    """-lambda * ln(lambda), with the 0 * ln(0) = 0 convention."""
-    if lam == 0.0:
-        return 0.0
-    return -lam * math.log(lam)
+def harmonic_prior(K):
+    """Discrete prior with pmf proportional to 1/k on {1..K}."""
+    K = _count(K, "K")
+    w = 1.0 / np.arange(1, K + 1)
+    return DiscretePrior(w / w.sum())
 
 
 @dataclass(frozen=True)
@@ -230,29 +234,17 @@ class LambdaPair:
     lambda1: float
     lambda2: float
 
-    @property
-    def robustness(self):
-        return min(neg_lambda_log(self.lambda1), neg_lambda_log(self.lambda2))
-
-
-def _bisect_root(lo, hi, increasing, beta):
-    # sign convention: g(lam) = -lam ln lam - beta crosses zero once per side;
-    # 100 halvings leave a bracket under 1e-30 wide
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        g = neg_lambda_log(mid) - beta
-        if (g < 0.0) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
 
 def lambda_pair(beta):
     """Solve -lambda ln(lambda) = beta on both sides of the peak at 1/e.
 
-    Bisection with 100 iterations per root; beta must lie in [0, 1/e]
-    (the map peaks at 1/e where both roots coincide).
+    In u = -ln(lambda) the equation is h(u) = ln(u) - u - ln(beta) = 0, with
+    h smooth and rising to its peak at u = 1.  lambda2 = e^-u2 for the Brent
+    root u2 in [beta, 1], where h(beta) = -beta; lambda1 = e^-u1 for the
+    root u1 in [1, 2 (1 - ln beta)], where h is again negative.  The roots
+    are exp(W_-1(-beta)) and exp(W_0(-beta)) in the Lambert W function.
+    beta must lie in [0, 1/e] (the map peaks at 1/e where both roots
+    coincide).
     """
     beta = float(beta)
     if not (0.0 <= beta <= E_INV + 1e-15):
@@ -261,9 +253,14 @@ def lambda_pair(beta):
     if beta == 0.0:
         return LambdaPair(0.0, 0.0, 1.0)
     if beta >= E_INV - 1e-13:
-        # double root at the peak; bisection would leave the two roots a
-        # spurious ~1e-8 apart on the flat top
+        # double root at the peak, where h'(1) = 0 leaves the equation too
+        # flat to tell the two roots apart
         return LambdaPair(beta, E_INV, E_INV)
-    lam1 = _bisect_root(0.0, E_INV, True, beta)
-    lam2 = _bisect_root(E_INV, 1.0, False, beta)
-    return LambdaPair(beta, lam1, lam2)
+    log_beta = math.log(beta)
+
+    def h(u):
+        return math.log(u) - u - log_beta
+
+    u1 = brentq(h, 1.0, 2.0 * (1.0 - log_beta), xtol=1e-15, rtol=1e-15)
+    u2 = brentq(h, beta, 1.0, xtol=1e-15, rtol=1e-15)
+    return LambdaPair(beta, math.exp(-u1), math.exp(-u2))

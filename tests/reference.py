@@ -3,6 +3,8 @@
 Each one is a second, independent route to a quantity the package computes
 (or, for parse_lp, reads back what it writes):
 
+* neg_lambda_log: -lambda ln(lambda), the equation priors.lambda_pair
+  solves and the win probability of the wait-until-lambda rule;
 * consistency_integral: L(z) piece by piece, against analytics._LTable;
 * generalized_inverse, powered and clamped: operations on a ThresholdFn
   that only the tests' references and rules use;
@@ -16,6 +18,7 @@ Each one is a second, independent route to a quantity the package computes
 * parse_lp: a reader for the LP text format of hardness.export_lp.
 """
 
+import math
 import re
 
 import numpy as np
@@ -23,6 +26,13 @@ import numpy as np
 from stoppred.hardness import _cdf_pair, _pmf_array, delta_table, win_prob_by_truncation
 from stoppred.quadrature import log_time_integral, pow_integral
 from stoppred.thresholds import ThresholdFn
+
+
+def neg_lambda_log(lam):
+    """-lambda * ln(lambda), with the 0 * ln(0) = 0 convention."""
+    if lam == 0.0:
+        return 0.0
+    return -lam * math.log(lam)
 
 
 def consistency_integral(theta, z):

@@ -29,9 +29,9 @@ import numpy as np
 import pytest
 
 from stoppred import analytics, engine, hardness, maxexp, thresholds
-from stoppred.priors import E_INV, Uniform, lambda_pair, neg_lambda_log
+from stoppred.priors import E_INV, Uniform, lambda_pair
 
-from reference import brute_force_win_prob, powered, rule_solution_vector
+from reference import brute_force_win_prob, neg_lambda_log, powered, rule_solution_vector
 
 UNIT = Uniform(0.0, 1.0)
 

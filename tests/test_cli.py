@@ -49,6 +49,15 @@ def test_identical_manifest_byte_identical(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+
+@pytest.mark.parametrize("command, extra", [("maxprob-curve", []), ("maxexp-curve", ["--m", "40"])])
+def test_beta_is_a_spelling_of_beta_grid(tmp_path, capsys, command, extra):
+    outs = [tmp_path / "beta.csv", tmp_path / "grid.csv"]
+    for option, out in zip(("--beta", "--beta-grid"), outs):
+        assert cli.main([command, option, "0.01", *extra, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_thresholds_dump_and_reload(tmp_path, capsys):
     path = tmp_path / "theta.csv"
     code = cli.main(["thresholds", "--threshold", "gm:6", "--m", "40",

@@ -14,13 +14,12 @@ from stoppred.priors import (
     Exponential,
     Uniform,
     lambda_pair,
-    neg_lambda_log,
     power_root_cdf,
 )
 from stoppred.thresholds import ThresholdFn, dynkin_threshold, gm_threshold, robustify, single_threshold
 
 from conftest import random_step_threshold
-from reference import run_bicriteria
+from reference import neg_lambda_log, run_bicriteria
 
 UNIT = Uniform(0.0, 1.0)
 ONES = ThresholdFn([1.0], [1.0])
@@ -109,7 +108,7 @@ def test_simulate_report_invariants():
 def test_robustness_floor_under_misprediction():
     pair = lambda_pair(0.25)
     theta = robustify(gm_threshold(8, 60), pair)
-    floor = pair.robustness
+    floor = pair.beta  # -lambda ln(lambda) at either root
     for real, predicted, seed in [
         (UNIT, Uniform(2.0, 3.0), 31),
         (Uniform(1.0, 4.0), Uniform(0.0, 0.5), 32),

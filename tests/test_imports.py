@@ -53,6 +53,8 @@ def test_non_lp_commands_leave_out_the_lp_stack(tmp_path):
         ["maxexp-curve", "--beta", "0.2", "--m", "8", "--out", str(out)],
         ["simulate", "--real", "uniform:0,1", "--predicted", "exp:1", "--threshold", "gm:10",
          "--robustify", "0.3", "--n", "10", "--trials", "200", "--out", str(out)],
+        ["simulate", "--real", "harmonic:8", "--predicted", "harmonic:8", "--threshold", "dynkin:0.3",
+         "--n", "10", "--trials", "200", "--out", str(out)],
         ["thresholds", "--threshold", "gm:5", "--out", str(out)],
         ["verify", "quick"],
     ]
@@ -108,15 +110,16 @@ def test_loaded_extension_is_reused(tmp_path, monkeypatch):
 def test_hardness_loads_on_first_use():
     loaded = _run(
         "import json, sys, stoppred\n"
+        "import stoppred.cli\n"
+        "prior = stoppred.cli.parse_prior('harmonic:4')  # the harmonic prior lives in priors\n"
         "before = 'stoppred.hardness' in sys.modules\n"
         "first = stoppred.hardness\n"
         "from stoppred import hardness\n"
-        "import stoppred.cli\n"
-        "prior = stoppred.cli.parse_prior('harmonic:4')\n"
         "print(json.dumps([before, first is hardness, isinstance(prior, stoppred.DiscretePrior),\n"
+        "                  hardness.harmonic_prior is stoppred.priors.harmonic_prior,\n"
         "                  prior.pmf.tolist() == hardness.harmonic_prior(4).pmf.tolist()]))"
     )
-    assert loaded == [False, True, True, True]
+    assert loaded == [False, True, True, True, True]
 
 
 def test_unknown_attribute_still_raises():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stoppred import maxexp
 from stoppred.analytics import _LTable, check_consistency_conditions
 from stoppred.maxexp import max_alpha_for_beta, solve_steps, tradeoff_curve_maxexp
 from stoppred.priors import E_INV
@@ -34,6 +35,23 @@ def test_validation():
         solve_steps(-0.1, 0.2, 50)
     with pytest.raises(ValueError):
         solve_steps(0.5, 0.2, 1)
+
+
+
+def test_a_rise_the_threshold_rejects_fails_the_solve(monkeypatch):
+    # solve_steps accepts no rise among the steps that ThresholdFn would reject
+    real = maxexp._piece_equation
+    steps = []
+
+    def rising(*args):
+        # the second step solved, theta_{m-1}, comes out 1e-10 below theta_m
+        theta = steps[0] - 1e-10 if len(steps) == 1 else real(*args)
+        steps.append(theta)
+        return theta
+
+    monkeypatch.setattr(maxexp, "_piece_equation", rising)
+    with pytest.raises(ArithmeticError, match="non-increasing"):
+        solve_steps(0.62, 0.15, 60)
 
 
 def test_endpoint_equalities_hold():

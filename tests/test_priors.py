@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,9 +13,10 @@ from stoppred.priors import (
     Exponential,
     Uniform,
     lambda_pair,
-    neg_lambda_log,
     power_root_cdf,
 )
+
+from reference import neg_lambda_log
 
 
 def test_uniform_cdf_values():
@@ -211,6 +213,37 @@ def test_lambda_pair_residuals_and_order(beta):
     assert pair.lambda1 <= E_INV <= pair.lambda2
     assert abs(neg_lambda_log(pair.lambda1) - beta) <= 1e-12
     assert abs(neg_lambda_log(pair.lambda2) - beta) <= 1e-12
+
+
+
+def _lambert_roots(beta):
+    """exp(W_-1(-beta)) and exp(W_0(-beta)), the two roots of -lambda ln(lambda) = beta, at 40 digits."""
+    with mpmath.workdps(40):
+        return tuple(float(mpmath.exp(mpmath.lambertw(-mpmath.mpf(beta), k).real)) for k in (-1, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(1e-300, 0.3), st.floats(-300.0, math.log10(0.3)).map(lambda e: 10.0**e)))
+@example(1e-300)
+@example(6.8e-232)
+@example(1e-40)  # the old bisection returned 1.45e-31 here, for every beta <= 1e-30
+@example(0.3)
+def test_lambda_pair_matches_lambert_w(beta):
+    lam1, lam2 = _lambert_roots(beta)
+    pair = lambda_pair(beta)
+    assert abs(pair.lambda1 - lam1) <= 1e-12 * lam1
+    assert abs(pair.lambda2 - lam2) <= 1e-14 * lam2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.3, E_INV - 1e-12, exclude_min=True))
+@example(E_INV - 1e-12)
+def test_lambda_pair_matches_lambert_w_near_the_peak(beta):
+    # the equation flattens towards the peak; from 1/e - 1e-13 on, lambda_pair returns the double root
+    lam1, lam2 = _lambert_roots(beta)
+    pair = lambda_pair(beta)
+    assert abs(pair.lambda1 - lam1) <= 1e-9 * lam1
+    assert abs(pair.lambda2 - lam2) <= 1e-9 * lam2
 
 
 def test_exponential_tail():
