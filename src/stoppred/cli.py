@@ -58,7 +58,7 @@ def parse_prior(spec):
     raise CliError(f"unknown prior family {kind!r}")
 
 
-def parse_threshold(spec, m=300, robustify_beta=None):
+def parse_threshold(spec, m, robustify_beta):
     kind, _, arg = spec.partition(":")
     try:
         if kind == "dynkin":
@@ -143,6 +143,17 @@ def _check_out(path, creates_dir=False):
         raise CliError(f"cannot write {path}: {where} is not writable")
 
 
+def _file_names(values, pattern, what):
+    """Each value's file name by pattern, failing before any work when two values share one."""
+    owners = {}
+    for value in values:
+        name = pattern.format(value)
+        if name in owners:
+            raise CliError(f"{what} {_g(owners[name])} and {_g(value)} both map to the file {name}")
+        owners[name] = value
+    return list(owners)
+
+
 def _emit(text, out):
     if out:
         with open(out, "w") as fh:
@@ -160,29 +171,23 @@ def cmd_maxexp_curve(args):
     _check_out(args.out)
     _check_out(args.dump_thresholds, creates_dir=True)
     betas = parse_grid(args.beta_grid)
-    if args.dump_thresholds:
-        # every file name is checked before any point is solved or written
-        names = {}
-        for beta in betas:
-            name = f"theta_beta_{beta:.6f}.csv"
-            if name in names:
-                raise CliError(f"betas {_g(names[name])} and {_g(beta)} both map to the file {name}")
-            names[name] = beta
+    # every file name is checked before any point is solved or written
+    names = _file_names(betas, "theta_beta_{:.6f}.csv", "betas") if args.dump_thresholds else [None] * len(betas)
     lines = [manifest_line("maxexp-curve", {"betas": ",".join(_g(b) for b in betas), "m": args.m})]
     lines.append("beta,alpha")
     points = maxexp.tradeoff_curve_maxexp(betas, args.m)
+    if args.dump_thresholds:
+        os.makedirs(args.dump_thresholds, exist_ok=True)
     failures = 0
-    for p in points:
+    for p, name in zip(points, names):
         if p.alpha is None:
             failures += 1
             print(f"maxexp-curve: beta={p.beta} failed: {p.error}", file=sys.stderr)
             continue
         lines.append(f"{_g(p.beta)},{_g(p.alpha)}")
-        if args.dump_thresholds:
-            os.makedirs(args.dump_thresholds, exist_ok=True)
-            path = os.path.join(args.dump_thresholds, f"theta_beta_{p.beta:.6f}.csv")
+        if name:
             head = manifest_line("maxexp-curve", {"beta": _g(p.beta), "m": args.m, "alpha": _g(p.alpha)})
-            with open(path, "w") as fh:
+            with open(os.path.join(args.dump_thresholds, name), "w") as fh:
                 fh.write(head + "\n" + thresholds.threshold_to_csv(p.solution.threshold()))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_NUMERICAL if failures == len(points) else EXIT_OK
@@ -254,16 +259,12 @@ def cmd_hardness_frontier(args):
         if not args.out:
             raise CliError("export mode needs --out DIRECTORY")
         # every lambda and its file name are checked before anything is built or written
-        objectives = {}
-        for lam in lambdas:
-            name = f"frontier_lambda_{lam:.4f}.lp"
-            if name in objectives:
-                raise CliError(f"lambdas {_g(objectives[name][0])} and {_g(lam)} both map to the file {name}")
-            objectives[name] = (lam, hardness.export_lp_objective(lam))
+        names = _file_names(lambdas, "frontier_lambda_{:.4f}.lp", "lambdas")
+        objectives = [hardness.export_lp_objective(lam) for lam in lambdas]
         # only the objective depends on lambda, so the body is serialized and encoded once
         body = hardness.export_lp_body(hardness.build_polytope(args.n, args.k_support, prior)).encode()
         os.makedirs(args.out, exist_ok=True)
-        for name, (lam, objective) in objectives.items():
+        for lam, name, objective in zip(lambdas, names, objectives):
             header = manifest_line("hardness-frontier", {**params, "lambda": _g(lam)}).lstrip("# ")
             with open(f"{args.out}/{name}", "wb") as fh:
                 fh.write(("\\ " + header + "\n" + objective).encode())

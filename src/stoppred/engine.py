@@ -17,14 +17,16 @@ them on average (5.9 of 200), so the per-entry work is one running
 maximum.  The literal per-value loop that the scan is tested against is
 ``run_bicriteria`` in tests/reference.py.
 
-The rows come in two forms.  Full rows hold all n values and their sorted
-arrival times.  Record rows hold only the weak records (the values at least
-as large as everything before them), drawn directly as a Markov chain
-(``_record_batch``), so a trial costs O(H_n) instead of O(n).  ``simulate``
-and ``accepted_value_samples`` draw record rows from n = RECORD_ROWS_MIN_N
-on and full rows below it, where full rows are faster; ``googol_win_mc``
-(fixed values) and ``simulate_coupled_sharding`` (which needs every shard
-value) always scan full rows.
+The rows come in two forms, each from a draw that returns (values, times)
+and scans nothing.  Full rows (``_full_rows``) hold all n values and their
+sorted arrival times.  Record rows (``_record_rows``) hold only the weak
+records (the values at least as large as everything before them), drawn
+directly as a Markov chain, so a trial costs O(H_n) instead of O(n).
+``simulate`` and ``accepted_value_samples`` draw record rows from n =
+RECORD_ROWS_MIN_N on and full rows below it, where full rows are faster, and
+``_scan_rows`` scans each batch once and takes its row maxima.
+``simulate_coupled_sharding`` (which needs every shard value) draws full
+rows; ``googol_win_mc`` (fixed values) draws only arrival orders.
 """
 
 from __future__ import annotations
@@ -134,19 +136,18 @@ def _batches(total, size=_BATCH):
         done += b
 
 
-def _scan_batch(rng, b, n, real, predicted, theta):
-    """Scan b full rows of n values each; returns (pos, accepted, maximum)."""
+def _full_rows(rng, b, n, real):
+    """b full rows of n values each, in time order: (values, times)."""
     # values are i.i.d. and independent of the arrival order, so sorting the
     # times alone puts every row in time order
     vals = real.quantile(rng.random((b, n)))
     times = rng.random((b, n))
     times.sort(axis=1)
-    pos, acc = scan_first_accept(vals, times, predicted, theta)
-    return pos, acc, vals.max(axis=1)
+    return vals, times
 
 
-def _record_batch(rng, b, n, real, predicted, theta):
-    """Scan b record rows: the weak records of n values, drawn as a chain.
+def _record_rows(rng, b, n, real):
+    """b record rows: the weak records of n values, drawn as a chain.
 
     Only a best-so-far value can be accepted, so a row needs only its weak
     records, about H_n of its n values.  After a record at time t with
@@ -159,9 +160,9 @@ def _record_batch(rng, b, n, real, predicted, theta):
         J' ~ Bin(J - 1, (1 - l') / (1 - l)),
 
     from t ~ Beta(1, n), u ~ U(0, 1), J ~ Bin(n - 1, 1 - l), and stops at
-    J = 0, so the last record is the row maximum.  Rows are padded with -1,
-    which the scan's running maximum (started at 0) never takes for a
-    best-so-far value.  Returns (pos, accepted, maximum); pos counts records.
+    J = 0, so the last record is the row maximum.  Rows are padded with -1
+    at time 1, which the scan's running maximum (started at 0) never takes
+    for a best-so-far value.  Returns (values, times), one column per record.
     """
     continuous = real.kind == "continuous"
     rows = np.arange(b)
@@ -191,9 +192,16 @@ def _record_batch(rng, b, n, real, predicted, theta):
         above = u if continuous else real.cdf_left(x)
         later = rng.binomial(later - 1, (1.0 - above) / (1.0 - level))
         level = above
-    vals, times = np.stack(val_cols, axis=1), np.stack(time_cols, axis=1)
-    pos, acc = scan_first_accept(vals, times, predicted, theta)
-    return pos, acc, vals.max(axis=1)
+    return np.stack(val_cols, axis=1), np.stack(time_cols, axis=1)
+
+
+def _scan_rows(draw, real, predicted, theta, n, trials, seed):
+    """(pos, accepted, maximum) per batch of the rows draw(rng, b, n, real) returns."""
+    rng = np.random.default_rng(seed)
+    for b in _batches(trials):
+        vals, times = draw(rng, b, n, real)
+        pos, acc = scan_first_accept(vals, times, predicted, theta)
+        yield pos, acc, vals.max(axis=1)
 
 
 def _row_batches(real, predicted, theta, n, trials, seed):
@@ -205,22 +213,14 @@ def _row_batches(real, predicted, theta, n, trials, seed):
     """
     if real.quantile(0.0) < 0.0:
         raise ValueError("real prior must be supported on [0, inf)")
-    batch = _record_batch if n >= RECORD_ROWS_MIN_N else _scan_batch
-    rng = np.random.default_rng(seed)
-    return (batch(rng, b, n, real, predicted, theta) for b in _batches(trials))
+    draw = _record_rows if n >= RECORD_ROWS_MIN_N else _full_rows
+    return _scan_rows(draw, real, predicted, theta, n, trials, seed)
 
 
 def accepted_value_samples(real, predicted, theta, n, trials, seed):
     """Per-trial (accepted value, maximum value); 0 marks no acceptance."""
     n, trials = _count(n, "n"), _count(trials, "trials")
-    batches = _row_batches(real, predicted, theta, n, trials, seed)
-    accepted = np.empty(trials)
-    maxima = np.empty(trials)
-    done = 0
-    for _, acc, mx in batches:
-        accepted[done : done + len(acc)] = acc
-        maxima[done : done + len(acc)] = mx
-        done += len(acc)
+    _, accepted, maxima = map(np.concatenate, zip(*_row_batches(real, predicted, theta, n, trials, seed)))
     return accepted, maxima
 
 
@@ -327,9 +327,7 @@ def simulate_coupled_sharding(real, predicted, theta, n, k, trials, seed):
     violations = 0
     # a batch of n*k-value rows holds as many values as a plain batch
     for b in _batches(trials, max(1, _BATCH // k)):
-        shard_vals = shard_real.quantile(rng.random((b, n * k)))
-        t_sorted = rng.random((b, n * k))
-        t_sorted.sort(axis=1)
+        shard_vals, t_sorted = _full_rows(rng, b, n * k, shard_real)
         sharding, base = _coupled_passes(shard_vals, t_sorted, k, shard_pred, theta)
         violations += int(np.count_nonzero(sharding < base))
     return violations

@@ -30,7 +30,7 @@ import numpy as np
 from ._roots import brentq
 from .priors import E_INV, LambdaPair, _count, lambda_pair
 from .quadrature import _piece_tail, log_time_integral
-from .thresholds import _MONO_TOL, ThresholdFn, dynkin_threshold, robustify
+from .thresholds import _MONO_TOL, ThresholdFn, robustify
 
 __all__ = ["StepSolution", "solve_steps", "max_alpha_for_beta", "tradeoff_curve_maxexp", "CurvePoint"]
 
@@ -52,11 +52,10 @@ class StepSolution:
 
     def threshold(self):
         """The certified robust threshold: clamped steps inside the bands."""
-        if len(self.theta_values) == 0:
-            return dynkin_threshold(self.pair.lambda1)
-        z = self.grid
-        middle = ThresholdFn(np.append(z[1:], 1.0), np.append(np.minimum(self.theta_values, 1.0), 0.0))
-        return robustify(middle, self.pair)
+        # with no steps the middle is the 0-piece alone, and robustify makes
+        # the wait-until-lambda1 rule of the empty band
+        breaks = np.append(self.grid[1 : len(self.theta_values) + 1], 1.0)
+        return robustify(ThresholdFn(breaks, np.append(self.theta_values, 0.0)), self.pair)
 
 
 _LOG_FLOOR = -700.0  # exp of this is the smallest step value worth resolving

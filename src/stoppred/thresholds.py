@@ -87,18 +87,6 @@ class ThresholdFn:
             a = float(b)
 
 
-def _simplify(breaks, vals):
-    # merge adjacent pieces with equal values; keeps evaluation identical
-    out_b, out_v = [], []
-    for b, v in zip(breaks, vals):
-        if out_v and v == out_v[-1]:
-            out_b[-1] = b
-        else:
-            out_b.append(b)
-            out_v.append(v)
-    return out_b, out_v
-
-
 def dynkin_threshold(lam):
     """1 on [0, lam], 0 on (lam, 1]: wait, then take the first best-so-far value."""
     lam = float(lam)
@@ -130,21 +118,17 @@ def robustify(theta, pair):
     that leaves the result short of 1 gets ThresholdFn's ValueError.
     """
     lam1, lam2 = pair.lambda1, pair.lambda2
-    breaks, vals = [], []
-    if lam1 > 0.0:
-        breaks.append(lam1)
-        vals.append(1.0)
-    if lam2 > lam1:
-        for a, b, v in theta.pieces():
-            if b <= lam1 or a >= lam2:
-                continue
-            breaks.append(min(b, lam2))
-            vals.append(min(v, 1.0))
-    if lam2 < 1.0:
-        breaks.append(1.0)
-        vals.append(0.0)
-    breaks, vals = _simplify(breaks, vals)
-    return ThresholdFn(breaks, vals)
+    bp = theta.breakpoints
+    # the 1-piece (0, lam1], theta's pieces clipped to [lam1, lam2] and the
+    # 0-piece (lam2, 1], of which the nonempty ones stay
+    starts = np.concatenate(([0.0], np.maximum(np.append(0.0, bp[:-1]), lam1), [lam2]))
+    ends = np.concatenate(([lam1], np.minimum(bp, lam2), [1.0]))
+    vals = np.concatenate(([1.0], np.minimum(theta.values, 1.0), [0.0]))
+    keep = starts < ends
+    breaks, vals = ends[keep], vals[keep]
+    # a run of equal levels keeps its last breakpoint; levels are >= 0, so -1 ends the last run
+    last = np.diff(vals, append=-1.0) != 0.0
+    return ThresholdFn(breaks[last], vals[last])
 
 
 def _gm_series(c, n):

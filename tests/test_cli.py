@@ -21,6 +21,13 @@ def test_verify_quick_passes(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("suite, count", [("oracle", 12), ("paper", 6)])
+def test_verify_oracle_and_paper_pass(capsys, suite, count):
+    code, out, _ = run_cli(capsys, "verify", suite)
+    assert code == 0
+    assert out.splitlines()[-1] == f"{count}/{count} checks passed"
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(cli.SUITES, "quick", lambda: [("forced", False)])
     code, out, _ = run_cli(capsys, "verify", "quick")
@@ -141,6 +148,36 @@ def test_hardness_frontier_export(tmp_path, capsys):
         assert text == hardness.export_lp(model, lam).encode()
 
 
+def test_export_needs_an_out_directory(capsys):
+    code, out, err = run_cli(capsys, "hardness-frontier", "--n", "2", "--k-support", "3", "--solver", "export")
+    assert (code, out, err) == (2, "", "error: export mode needs --out DIRECTORY\n")
+
+
+def test_hardness_frontier_failed_points(capsys, monkeypatch):
+    solve = hardness.Lp.solve
+
+    def failing_at(bad):
+        def failing(self, lam):
+            if lam in bad:
+                raise hardness.LpError("forced")
+            return solve(self, lam)
+        return failing
+
+    argv = ["hardness-frontier", "--n", "3", "--k-support", "8", "--lambda-grid", "0:1:0.5"]
+    # a failed lambda is a gap: its line on stderr, no row, and the others still solved
+    monkeypatch.setattr(hardness.Lp, "solve", failing_at({0.5}))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == "hardness-frontier: lambda=0.5 failed: forced\n"
+    assert [row.split(",")[0] for row in out.splitlines()[2:]] == ["0", "1"]
+    # with every lambda failed, the run is a numerical failure
+    monkeypatch.setattr(hardness.Lp, "solve", failing_at({0.0, 0.5, 1.0}))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err.splitlines() == [f"hardness-frontier: lambda={lam} failed: forced" for lam in (0.0, 0.5, 1.0)]
+    assert out.splitlines()[1:] == ["lambda,lp_star,alpha_star,beta_star"]
+
+
 @pytest.mark.parametrize(
     "grid, message",
     [
@@ -171,6 +208,22 @@ def test_dump_thresholds_checks_the_names_before_the_work(tmp_path, capsys, monk
     assert err == "error: betas 0.10000000000000001 and 0.10000009999999999 both map to the file theta_beta_0.100000.csv\n"
     assert out == ""
     assert not dump.exists()
+
+
+def test_dump_thresholds_writes_each_certified_threshold(tmp_path, capsys):
+    dump = tmp_path / "thetas"
+    code, _, err = run_cli(capsys, "maxexp-curve", "--beta-grid", "0.01,0.3", "--m", "10",
+                           "--dump-thresholds", str(dump))
+    assert (code, err) == (0, "")
+    for beta in (0.01, 0.3):
+        text = (dump / f"theta_beta_{beta:.6f}.csv").read_text()
+        assert text.startswith("# command=maxexp-curve alpha=")
+        assert threshold_from_csv(text) == maxexp.max_alpha_for_beta(beta, 10)[1].threshold()
+    code, out, _ = run_cli(capsys, "simulate", "--real", "uniform:0,1", "--predicted", "uniform:0,1",
+                           "--threshold", f"file:{dump / 'theta_beta_0.300000.csv'}",
+                           "--n", "10", "--trials", "1000", "--seed", "0")
+    assert code == 0
+    assert "maxprob=" in out
 
 
 def test_maxexp_curve_peak_point(capsys):

@@ -291,10 +291,8 @@ REAL_PREDICTED = [
 MATRIX_TRIALS = 3 * 4096
 
 
-def _batch_report(batch, real, predicted, theta, n, trials, seed):
-    rng = np.random.default_rng(seed)
-    rows = (batch(rng, b, n, real, predicted, theta) for b in engine._batches(trials))
-    return engine._sim_report(rows, trials)
+def _batch_report(draw, real, predicted, theta, n, trials, seed):
+    return engine._sim_report(engine._scan_rows(draw, real, predicted, theta, n, trials, seed), trials)
 
 
 def _agree(a, b, se_a, se_b):
@@ -306,8 +304,8 @@ def _agree(a, b, se_a, se_b):
 @given(st.integers(1, 40), step_thresholds(), st.integers(0, 2**32 - 1))
 def test_record_rows_match_full_rows(real, predicted, n, theta, seed):
     full, rec = (
-        _batch_report(batch, real, predicted, theta, n, MATRIX_TRIALS, seed)
-        for batch in (engine._scan_batch, engine._record_batch)
+        _batch_report(draw, real, predicted, theta, n, MATRIX_TRIALS, seed)
+        for draw in (engine._full_rows, engine._record_rows)
     )
     t = MATRIX_TRIALS
 
@@ -322,7 +320,7 @@ def test_record_rows_match_full_rows(real, predicted, n, theta, seed):
 @pytest.mark.parametrize("n, seed", [(10, 41), (200, 42), (10_000, 43)])
 def test_record_rows_match_win_probability(n, seed):
     theta = robustify(gm_threshold(n, 300), lambda_pair(1.0 / 3.0))
-    rep = _batch_report(engine._record_batch, UNIT, UNIT, theta, n, 100_000, seed)
+    rep = _batch_report(engine._record_rows, UNIT, UNIT, theta, n, 100_000, seed)
     assert abs(rep.maxprob - win_probability(theta, n)) <= 4.0 * rep.maxprob_se
 
 
@@ -330,11 +328,11 @@ def test_simulate_picks_rows_by_n():
     # below the cutoff the estimators keep the full-row stream, from it on
     # they draw record rows
     theta = dynkin_threshold(E_INV)
-    for n, batch in [
-        (engine.RECORD_ROWS_MIN_N - 1, engine._scan_batch),
-        (engine.RECORD_ROWS_MIN_N, engine._record_batch),
+    for n, draw in [
+        (engine.RECORD_ROWS_MIN_N - 1, engine._full_rows),
+        (engine.RECORD_ROWS_MIN_N, engine._record_rows),
     ]:
-        assert simulate(UNIT, UNIT, theta, n, 5000, 44) == _batch_report(batch, UNIT, UNIT, theta, n, 5000, 44)
+        assert simulate(UNIT, UNIT, theta, n, 5000, 44) == _batch_report(draw, UNIT, UNIT, theta, n, 5000, 44)
 
 
 class _SpyExponential(Exponential):
@@ -351,6 +349,7 @@ def test_record_rows_keep_levels_below_one():
     # at n = 1e16 the record levels come within an ulp of 1, where
     # l + (1 - l) r rounds to 1 and Exponential's quantile would be inf
     real = _SpyExponential(1.0)
-    pos, acc, mx = engine._record_batch(np.random.default_rng(45), 4096, 10**16, real, UNIT, ONES)
+    vals, times = engine._record_rows(np.random.default_rng(45), 4096, 10**16, real)
+    pos, _ = engine.scan_first_accept(vals, times, UNIT, ONES)
     assert real.top < 1.0
-    assert np.all(np.isfinite(mx)) and np.all(pos == -1)
+    assert np.all(np.isfinite(vals)) and np.all(pos == -1)

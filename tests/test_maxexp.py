@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,16 @@ def test_grid_refinement_stability(maxexp_solution_001):
     a150, _ = max_alpha_for_beta(0.01, 150)
     a300, _ = maxexp_solution_001
     assert abs(a150 - a300) <= 0.004
+
+
+def test_steps_below_the_floor_are_floored():
+    # at beta = 0.001 the last step's root lies below exp(-700), where the
+    # log-space solve floors it; the certificate still holds
+    alpha, sol = max_alpha_for_beta(0.001, 10)
+    assert alpha == pytest.approx(0.60682699314852, abs=1e-9)
+    assert sol.theta_values[-1] == math.exp(maxexp._LOG_FLOOR)
+    assert np.all(np.diff(sol.theta_values) <= 0.0)
+    assert check_consistency_conditions(sol.threshold(), alpha, sol.pair) >= -1e-6
 
 
 # frozen on first verified run (condition check passed at 1e-6)
