@@ -21,10 +21,15 @@ The rows come in two forms, each from a draw that returns (values, times)
 and scans nothing.  Full rows (``_full_rows``) hold all n values and their
 sorted arrival times.  Record rows (``_record_rows``) hold only the weak
 records (the values at least as large as everything before them), drawn
-directly as a Markov chain, so a trial costs O(H_n) instead of O(n).
+directly as a Markov chain, so a trial costs O(H_n) instead of O(n).  For a
+continuous prior the chain runs in rank space: each record's rank among the
+values above the previous one is uniform, and its level comes from
+exponential spacings of uniform order statistics.  A discrete prior keeps a
+chain in quantile space with binomial counts, since a later value that ties
+the running maximum is again a weak record and ranks cannot express ties.
 ``simulate`` and ``accepted_value_samples`` draw record rows from n =
 RECORD_ROWS_MIN_N on and full rows below it, where full rows are faster, and
-``_scan_rows`` scans each batch once and takes its row maxima.
+``_scan_rows`` scans each batch once; the scan returns the row maxima too.
 ``simulate_coupled_sharding`` (which needs every shard value) draws full
 rows; ``googol_win_mc`` (fixed values) draws only arrival orders.
 """
@@ -40,9 +45,13 @@ from .priors import _count, power_root_cdf
 
 _BATCH = 4096  # fixed so that a seed pins the whole random stream
 # simulate and accepted_value_samples draw record rows from this n on and
-# full rows below it; the two cost the same near n = 30 (4e5 trials of a
-# robustified gm threshold on Uniform(0, 1), 2-CPU host)
-RECORD_ROWS_MIN_N = 32
+# full rows below it.  For 4e5 trials of a robustified gm threshold on
+# Uniform(0, 1) (2-CPU host) the two cost the same near n = 20: record rows
+# take 1.1-1.2x the time of full rows at n = 16, 0.97-0.99x at 20 and 0.69x
+# at 32.  On a 64-atom DiscretePrior, whose binomial chain is slower but
+# whose full-row quantile is slower still, record rows win from n = 12 on
+# (0.83x).
+RECORD_ROWS_MIN_N = 20
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 __all__ = [
@@ -67,14 +76,17 @@ def scan_first_accept(values, times, predicted, theta):
     prior-free; under a full-support prior the two readings coincide, but a
     mispredicted support can pin the cdf to exactly 0).  The cdf and the
     threshold are evaluated at the best-so-far entries only, about H_n of a
-    row of n i.i.d. values.  Returns (pos, accepted_value) with pos = -1 and
-    value 0.0 for rows that accept nothing.
+    row of n i.i.d. values.  Returns (pos, accepted_value, maximum) per row,
+    with pos = -1 and value 0.0 for rows that accept nothing and maximum the
+    row's largest value.
     """
     rows, n = values.shape
     # a value is at least its running maximum through itself exactly when it
     # is at least every earlier value; the scan starts from a maximum of 0
     running = np.maximum.accumulate(values, axis=1)
+    maximum = running[:, -1].copy()
     flat = np.flatnonzero(values >= np.maximum(running, 0.0, out=running))
+    del running  # a rows x n array, not needed for the per-entry work
     x = values.reshape(-1)[flat]
     level = theta.eval(times.reshape(-1)[flat])
     ok = (predicted.cdf(x) > level) | (level == 0.0)
@@ -88,7 +100,7 @@ def scan_first_accept(values, times, predicted, theta):
     acc = np.zeros(rows)
     pos[row[first]] = col[first]
     acc[row[first]] = x[first]
-    return pos, acc
+    return pos, acc, maximum
 
 
 def run_sharding(values, k, predicted, theta, rng):
@@ -105,7 +117,7 @@ def run_sharding(values, k, predicted, theta, rng):
     shard_prior = power_root_cdf(predicted, k)
     t_sorted = np.sort(rng.random(n * k))
     s = t_sorted[np.arange(n) * k + rng.integers(0, k, size=n)]
-    pos, _ = scan_first_accept(values[None, :], s[None, :], shard_prior, theta)
+    pos = scan_first_accept(values[None, :], s[None, :], shard_prior, theta)[0]
     return None if pos[0] < 0 else int(pos[0])
 
 
@@ -146,62 +158,122 @@ def _full_rows(rng, b, n, real):
     return vals, times
 
 
+def _padded(b, records):
+    """(values, times) of b record rows from per-record (rows, values, log(1 - t)) columns.
+
+    Row i's records fill its first columns; the rest is padded with -1 at
+    time 1, which the scan's running maximum (started at 0) never takes for a
+    best-so-far value.
+    """
+    vals = np.full((b, len(records)), -1.0)
+    times = np.ones((b, len(records)))
+    for col, (rows, x, log_rest) in enumerate(records):
+        vals[rows, col] = x
+        times[rows, col] = -np.expm1(log_rest)
+    return vals, times
+
+
 def _record_rows(rng, b, n, real):
     """b record rows: the weak records of n values, drawn as a chain.
 
     Only a best-so-far value can be accepted, so a row needs only its weak
-    records, about H_n of its n values.  After a record at time t with
-    left level l = F_real(x-) (the level u itself for a continuous prior;
-    for a discrete one the cdf below x, so that a tie with x is again a
-    record), the J later values at or above x arrive i.i.d. uniform on
-    (t, 1) with levels uniform on (l, 1).  The chain draws
+    records, about H_n of its n values.  For a continuous prior the chain
+    runs in rank space.  A record with J of the n values above it is
+    followed by the first of those J to arrive: J' = floor(J U) of them lie
+    above it, since its rank among the J is uniform, and they arrive i.i.d.
+    uniform on (t, 1) after it, so t' = t + (1 - t) Beta(1, J).  The first
+    arrival starts the chain with J ~ U{0, ..., n - 1} and t ~ Beta(1, n),
+    and J = 0 ends it at the row maximum.  The level of the value with J
+    above it is the (n - J)-th of n uniform order statistics, S_(n-J) /
+    S_(n+1) for the partial sums S of n + 1 standard exponential spacings;
+    the chain carries S, each step adds Gamma(J - J') of spacings, and the
+    levels are read once the row's S_(n+1) is drawn.  A step costs no
+    binomial draw, only two uniforms and a gamma.
+
+    A discrete prior keeps the chain of _tied_record_rows: a later value that
+    ties the running maximum is again a weak record, and ranks among
+    distinct values cannot express that.  Returns (values, times), one
+    column per record.
+    """
+    if real.kind != "continuous":
+        return _tied_record_rows(rng, b, n, real)
+    rows = np.arange(b)
+    # Beta(1, m) is the first of m uniforms: 1 - t = V ** (1/m) with V
+    # uniform on (0, 1]; the time is carried as log(1 - t)
+    log_rest = np.log1p(-rng.random(b)) / n
+    above = rng.integers(0, n, size=b)
+    spacing_sum = rng.standard_gamma(n - above)
+    records = []  # (rows, S, log(1 - t)) per record
+    last = np.empty(b)  # S_n once each row's chain ends at its maximum
+    while True:
+        records.append((rows, spacing_sum, log_rest))
+        last[rows] = spacing_sum
+        live = np.flatnonzero(above)
+        if len(live) == 0:
+            break
+        rows, log_rest, above = rows[live], log_rest[live], above[live]
+        log_rest = log_rest + np.log1p(-rng.random(len(rows))) / above
+        # J U can round up to J (at n = 1e16 J itself is rounded), and a step
+        # must lower J
+        below = np.minimum((above * rng.random(len(rows))).astype(np.int64), above - 1)
+        spacing_sum = spacing_sum[live] + rng.standard_gamma(above - below)
+        above = below
+    total = last + rng.standard_exponential(b)
+    # a level within an ulp of 1 rounds to 1, where an unbounded quantile is inf
+    return _padded(
+        b, [(r, real.quantile(np.minimum(s / total[r], _BELOW_ONE)), lr) for r, s, lr in records]
+    )
+
+
+def _tied_record_rows(rng, b, n, real):
+    """b record rows of a discrete prior, drawn as a chain in quantile space.
+
+    After a record at time t with left level l = F_real(x-), the cdf below x
+    (so that a tie with x is again a record), the J later values at or above
+    x arrive i.i.d. uniform on (t, 1) with levels uniform on (l, 1).  The
+    chain draws
 
         t' = t + (1 - t) Beta(1, J),  u' ~ U(l, 1),
         J' ~ Bin(J - 1, (1 - l') / (1 - l)),
 
     from t ~ Beta(1, n), u ~ U(0, 1), J ~ Bin(n - 1, 1 - l), and stops at
-    J = 0, so the last record is the row maximum.  Rows are padded with -1
-    at time 1, which the scan's running maximum (started at 0) never takes
-    for a best-so-far value.  Returns (values, times), one column per record.
+    J = 0, so the last record is the row maximum.
     """
-    continuous = real.kind == "continuous"
     rows = np.arange(b)
-    # Beta(1, m) is the first of m uniforms: 1 - t = V ** (1/m) with V
-    # uniform on (0, 1]; the time is carried as log(1 - t)
     log_rest = np.log1p(-rng.random(b)) / n
-    u = rng.random(b)
-    x = real.quantile(u)
-    level = u if continuous else real.cdf_left(x)
+    x = real.quantile(rng.random(b))
+    level = real.cdf_left(x)
     later = rng.binomial(n - 1, 1.0 - level)
-    val_cols, time_cols = [], []  # one column per record
+    records = []  # (rows, x, log(1 - t)) per record
     while True:
-        val_cols.append(np.full(b, -1.0))
-        time_cols.append(np.ones(b))
-        val_cols[-1][rows] = x
-        time_cols[-1][rows] = -np.expm1(log_rest)
+        records.append((rows, x, log_rest))
         live = np.flatnonzero(later)
         if len(live) == 0:
             break
         rows, log_rest, level, later = rows[live], log_rest[live], level[live], later[live]
         log_rest = log_rest + np.log1p(-rng.random(len(rows))) / later
-        # u' ~ U(l, 1), kept off 1, where an unbounded quantile is inf, and
-        # for a discrete prior off l, whose quantile is the point below x
+        # u' ~ U(l, 1), kept off l, whose quantile is the point below x, and
+        # off 1, where an unbounded quantile is inf
         u = level + (1.0 - level) * rng.random(len(rows))
-        u = np.minimum(u, _BELOW_ONE) if continuous else np.clip(u, np.nextafter(level, 1.0), _BELOW_ONE)
-        x = real.quantile(u)
-        above = u if continuous else real.cdf_left(x)
+        x = real.quantile(np.clip(u, np.nextafter(level, 1.0), _BELOW_ONE))
+        above = real.cdf_left(x)
         later = rng.binomial(later - 1, (1.0 - above) / (1.0 - level))
         level = above
-    return np.stack(val_cols, axis=1), np.stack(time_cols, axis=1)
+    return _padded(b, records)
 
 
 def _scan_rows(draw, real, predicted, theta, n, trials, seed):
     """(pos, accepted, maximum) per batch of the rows draw(rng, b, n, real) returns."""
     rng = np.random.default_rng(seed)
     for b in _batches(trials):
-        vals, times = draw(rng, b, n, real)
-        pos, acc = scan_first_accept(vals, times, predicted, theta)
-        yield pos, acc, vals.max(axis=1)
+        yield scan_first_accept(*draw(rng, b, n, real), predicted, theta)
+
+
+def _check_support(real):
+    # the scan starts its running maximum at 0, so a negative value would
+    # never count as best-so-far and every estimate would read 0
+    if real.quantile(0.0) < 0.0:
+        raise ValueError("real prior must be supported on [0, inf)")
 
 
 def _row_batches(real, predicted, theta, n, trials, seed):
@@ -211,8 +283,7 @@ def _row_batches(real, predicted, theta, n, trials, seed):
     way a seed pins the whole random stream.  The callers check n and trials
     and pass them as ints.
     """
-    if real.quantile(0.0) < 0.0:
-        raise ValueError("real prior must be supported on [0, inf)")
+    _check_support(real)
     draw = _record_rows if n >= RECORD_ROWS_MIN_N else _full_rows
     return _scan_rows(draw, real, predicted, theta, n, trials, seed)
 
@@ -288,7 +359,7 @@ def googol_win_mc(values, predicted, theta, trials, seed):
         times = rng.random((b, n))
         order = np.argsort(times, axis=1)
         tv = np.take_along_axis(times, order, axis=1)
-        pos, acc = scan_first_accept(values[order], tv, predicted, theta)
+        pos, acc, _ = scan_first_accept(values[order], tv, predicted, theta)
         wins += int(np.count_nonzero((pos >= 0) & (acc == vmax)))
     p = wins / trials
     return p, math.sqrt(p * (1.0 - p) / trials)
@@ -305,8 +376,8 @@ def _coupled_passes(shard_vals, t_sorted, k, shard_pred, theta):
     arg = blocks.argmax(axis=2)[:, :, None]
     x = np.take_along_axis(blocks, arg, axis=2)[:, :, 0]
     s = np.take_along_axis(t_sorted.reshape(blocks.shape), arg, axis=2)[:, :, 0]
-    _, accepted_sharding = scan_first_accept(x, s, shard_pred, theta)
-    _, accepted_base = scan_first_accept(shard_vals, t_sorted, shard_pred, theta)
+    accepted_sharding = scan_first_accept(x, s, shard_pred, theta)[1]
+    accepted_base = scan_first_accept(shard_vals, t_sorted, shard_pred, theta)[1]
     return accepted_sharding, accepted_base
 
 
@@ -321,6 +392,7 @@ def simulate_coupled_sharding(real, predicted, theta, n, k, trials, seed):
     violations of that dominance (expected 0).
     """
     n, k, trials = _count(n, "n"), _count(k, "k"), _count(trials, "trials")
+    _check_support(real)
     rng = np.random.default_rng(seed)
     shard_real = power_root_cdf(real, k)
     shard_pred = power_root_cdf(predicted, k)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from stoppred import engine
 from stoppred.engine import googol_win_mc, run_sharding, simulate, simulate_coupled_sharding
@@ -206,7 +207,7 @@ def _literal_accepted(values, times, predicted, theta):
 @given(st.integers(1, 8).flatmap(timed_rows), st.sampled_from(PREDICTED), step_thresholds())
 def test_scan_matches_literal_loop(rows, predicted, theta):
     values, times = rows
-    pos, acc = engine.scan_first_accept(values, times, predicted, theta)
+    pos, acc, _ = engine.scan_first_accept(values, times, predicted, theta)
     for i in range(len(values)):
         assert (pos[i], acc[i]) == _literal_accepted(values[i], times[i], predicted, theta)
 
@@ -350,6 +351,61 @@ def test_record_rows_keep_levels_below_one():
     # l + (1 - l) r rounds to 1 and Exponential's quantile would be inf
     real = _SpyExponential(1.0)
     vals, times = engine._record_rows(np.random.default_rng(45), 4096, 10**16, real)
-    pos, _ = engine.scan_first_accept(vals, times, UNIT, ONES)
+    pos, _, _ = engine.scan_first_accept(vals, times, UNIT, ONES)
     assert real.top < 1.0
     assert np.all(np.isfinite(vals)) and np.all(pos == -1)
+
+
+# Laws of the rank-space chain of a continuous prior that a pinned stream
+# cannot show, over n i.i.d. Uniform(0, 1) values: H_n records per row, a
+# maximum of mean n / (n + 1) and a first arrival at time Beta(1, n).
+@pytest.mark.parametrize("n, seed", [(32, 46), (200, 47), (10_000, 48)])
+def test_record_rows_follow_the_record_laws(n, seed):
+    vals, times = engine._record_rows(np.random.default_rng(seed), 20_000, n, UNIT)
+    count = (vals >= 0.0).sum(axis=1)
+    harmonic = sum(1.0 / k for k in range(1, n + 1))
+    assert abs(count.mean() - harmonic) <= 4.0 * count.std() / math.sqrt(len(count))
+    top = vals.max(axis=1)
+    assert abs(top.mean() - n / (n + 1)) <= 4.0 * top.std() / math.sqrt(len(top))
+    assert stats.kstest(times[:, 0], "beta", args=(1, n)).pvalue > 1e-3
+
+
+class _SpyGenerator:
+    """Random generator that keeps the shapes of its gamma draws."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def standard_gamma(self, shape):
+        self.shapes.append(shape)
+        return self.rng.standard_gamma(shape)
+
+
+def test_rank_chain_steps_down_at_huge_n():
+    # each gamma shape is n - J0 or J - J', so all shapes >= 1 means every
+    # step lowers J, and a row's shapes sum to n
+    n, b = 2**62, 1024
+    rng, real = _SpyGenerator(49), _SpyExponential(1.0)
+    vals, _ = engine._record_rows(rng, b, n, real)
+    shapes = np.concatenate(rng.shapes)
+    assert shapes.min() >= 1
+    assert sum(map(int, shapes)) == b * n
+    assert real.top < 1.0 and np.all(np.isfinite(vals))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda real: simulate(real, UNIT, ONES, 40, 10, 1),
+        lambda real: simulate(real, UNIT, ONES, 5, 10, 1),
+        lambda real: engine.accepted_value_samples(real, UNIT, ONES, 40, 10, 1),
+        lambda real: simulate_coupled_sharding(real, UNIT, ONES, 5, 2, 10, 1),
+    ],
+)
+def test_estimators_reject_real_values_below_zero(call):
+    with pytest.raises(ValueError, match="supported on"):
+        call(Uniform(-1.0, 1.0))

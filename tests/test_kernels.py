@@ -43,7 +43,7 @@ def test_python_kernel_semantics():
     values = np.array([[0.5, 0.4, 0.9], [0.5, 0.4, 0.3], [-0.5, 0.2, 0.1]])
     times = np.tile([0.2, 0.5, 0.8], (3, 1))
     prior = TablePrior({0.5: 0.1, 0.4: 0.9, 0.9: 0.9, 0.3: 0.9, -0.5: 0.9, 0.2: 0.9, 0.1: 0.9})
-    pos, acc = scan_first_accept(values, times, prior, HALF)
+    pos, acc, _ = scan_first_accept(values, times, prior, HALF)
     # row 0: first value fails the quantile test, second is not best-so-far,
     # third passes both; row 1: nothing passes; row 2: the scan starts from
     # a maximum of 0, so a negative value is never best-so-far
@@ -57,7 +57,7 @@ def test_tie_counts_as_best_so_far():
     # level 1 at the first arrival rejects it; the tied second value is
     # still best-so-far and clears the level 0.5 after t = 0.5
     theta = ThresholdFn([0.5, 1.0], [1.0, 0.5])
-    pos, acc = scan_first_accept(values, times, TablePrior({0.5: 1.0}), theta)
+    pos, acc, _ = scan_first_accept(values, times, TablePrior({0.5: 1.0}), theta)
     assert pos.tolist() == [1]
 
 

@@ -5,7 +5,8 @@ standard errors, so they cannot see the estimators draw or consume their
 random numbers differently.  These values must match bit for bit; an
 intended change of the stream updates them in the same commit.  CASES run
 below engine.RECORD_ROWS_MIN_N, on full rows, and were recorded from the
-full-row scan; RECORD_CASES run on record rows.
+full-row scan; RECORD_CASES run on record rows, the continuous ones from
+the rank-space chain and the tied one from the binomial chain.
 """
 
 import hashlib
@@ -54,18 +55,25 @@ RECORD_CASES = [
 ]
 
 RECORD_SIMULATE = [
-    (5000, 0.3392, 0.006695421719354204, 0.7721690781850228, 0.005819965075072935, 0.779),
+    (5000, 0.327, 0.006634319859638967, 0.7653520994097711, 0.005884134845240711, 0.772),
     (5000, 0.6882, 0.00655104205451316, 0.9476818002714418, 0.0029358705257182902, 0.9544),
-    (5000, 0.3332, 0.0066659996999699905, 0.4672033155357731, 0.007042279101300644, 0.4682),
-    (5000, 0.3692, 0.006824827616870627, 0.6422004245525753, 0.006222818861826861, 0.6924),
+    (5000, 0.3266, 0.006632230997183376, 0.4632968961927464, 0.007037174158478756, 0.4644),
+    (5000, 0.3554, 0.00676891187710403, 0.6438259320103901, 0.0061813228593544335, 0.6966),
 ]
 
 RECORD_SAMPLES = [
-    (3841.5957876327698, 4975.070740546112, "4f1c59d5ffeb0a97", "0453e3a00e682d4e"),
+    (3807.3235540247088, 4974.603920157617, "9153e9f32229259f", "b0135be33a417f60"),
     (303044.0, 319774.0, "f5ee5c274b68d0e4", "4cf8a08b9d4f6b52"),
-    (2324.361592483061, 4975.05371899504, "bcd467c1a3eca46a", "b0f77da4c1476a44"),
-    (31399.93607881645, 48894.293554372794, "ea4e294d84d86e19", "34c3a4472245c7c8"),
+    (2304.6894306591926, 4974.541054771858, "d001ee7af729c607", "935b975f9852f255"),
+    (31569.264354116756, 49033.85027617571, "ed39f6624968bc8a", "f44d53418b8feb12"),
 ]
+
+# k: sum and digest of the sharding pass's accepted values, then of the
+# base scan's
+COUPLED = {
+    1: (1692.8078246363648, 1692.8078246363648, "1af2f68a2b6ce799", "1af2f68a2b6ce799"),
+    3: (1939.983787268684, 1926.5288449543568, "20943e7ed5d5f444", "2be83d3a4e9dcd4b"),
+}
 
 
 def _digest(a):
@@ -93,8 +101,20 @@ def test_googol_win_mc_stream():
 
 
 @pytest.mark.parametrize("k", [1, 3])
-def test_coupled_sharding_stream(k):
+def test_coupled_sharding_stream(k, monkeypatch):
+    # the estimator returns only a count, so its stream is read from the
+    # accepted values of each batch's two passes
+    batches = []
+
+    def passes(*args):
+        batches.append(coupled_passes(*args))
+        return batches[-1]
+
+    coupled_passes = engine._coupled_passes
+    monkeypatch.setattr(engine, "_coupled_passes", passes)
     assert engine.simulate_coupled_sharding(Uniform(0, 1), Uniform(0, 1), ROB, 8, k, 3000, 67) == 0
+    sharding, base = map(np.concatenate, zip(*batches))
+    assert (float(sharding.sum()), float(base.sum()), _digest(sharding), _digest(base)) == COUPLED[k]
 
 
 def test_run_sharding_stream():
