@@ -52,6 +52,8 @@ _BATCH = 4096  # fixed so that a seed pins the whole random stream
 # whose full-row quantile is slower still, record rows win from n = 12 on
 # (0.83x).
 RECORD_ROWS_MIN_N = 20
+# the record chains count values in int64 (rng.integers, rng.binomial)
+_MAX_N = np.iinfo(np.int64).max
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 __all__ = [
@@ -281,8 +283,10 @@ def _row_batches(real, predicted, theta, n, trials, seed):
 
     Record rows from n = RECORD_ROWS_MIN_N on, full rows below it; either
     way a seed pins the whole random stream.  The callers check n and trials
-    and pass them as ints.
+    and pass them as ints; an n above _MAX_N is a ValueError.
     """
+    if n > _MAX_N:
+        raise ValueError(f"need n <= {_MAX_N}: the record chains count values in int64")
     _check_support(real)
     draw = _record_rows if n >= RECORD_ROWS_MIN_N else _full_rows
     return _scan_rows(draw, real, predicted, theta, n, trials, seed)

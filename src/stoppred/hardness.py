@@ -36,8 +36,11 @@ the HiGHS binding bundled with scipy, row-wise as it is, loaded from its
 extension file alone (scipy.optimize's package imports are not run) and
 set up as linprog(method="highs") sets it up.  Each Lp.solve(lam) changes
 only the two costs, so after the first solve every optimal basis stays
-primal feasible for the next lambda and the simplex resumes from it;
-frontier_sweep runs a whole lambda grid on one Lp.
+primal feasible for the next lambda and the primal simplex resumes from
+it, with HiGHS's bound perturbation off: perturbing the bounds would move
+the run off the vertex it already holds, and the perturbation would have
+to be cleaned up at its end.  frontier_sweep runs a whole lambda grid on
+one Lp.
 export_lp writes the model with a lambda's objective in the standard LP
 text format for external solvers.  Its lambda-free part, export_lp_body,
 is array code: each distinct coefficient is formatted once, and the rows
@@ -350,6 +353,7 @@ class LpSolution:
     alpha: float
     beta: float
     y: np.ndarray
+    iterations: int  # simplex iterations of this run; 0 where it started at its optimum
 
 
 class LpError(ArithmeticError):
@@ -380,10 +384,16 @@ def _read_solution(highs, model, lam):
     exprs = win_prob_by_truncation(y, model.pmf)
     alpha = float(exprs[-1])
     beta = float(exprs.min())
-    objective = -highs.getInfo().objective_function_value
+    info = highs.getInfo()
+    objective = -info.objective_function_value
     if not abs(lam * alpha + (1.0 - lam) * beta - objective) <= 1e-6:
         raise LpError("recomputed envelope point disagrees with the LP objective")
-    return LpSolution(lam=lam, objective=objective, alpha=alpha, beta=beta, y=y)
+    iterations = info.simplex_iteration_count
+    return LpSolution(lam=lam, objective=objective, alpha=alpha, beta=beta, y=y, iterations=iterations)
+
+
+# HiGHS options of every run after the first: the primal simplex, without bound perturbation (see Lp)
+_WARM_OPTIONS = (("simplex_strategy", 4), ("primal_simplex_bound_perturbation_multiplier", 0.0))
 
 
 class Lp:
@@ -394,7 +404,11 @@ class Lp:
     alpha and beta costs before its run, so every run after the first
     resumes from the previous optimal basis.  That basis is still primal
     feasible, as only costs changed, so the re-solves use the primal
-    simplex; the first, cold run keeps linprog's default strategy.
+    simplex, and without bound perturbation: perturbing the bounds would
+    move each run off the vertex it already holds and leave the
+    perturbation to clean up at its end.  The first, cold run keeps
+    linprog's default strategy.  Every option is set through _set_option,
+    which raises LpError where HiGHS rejects one.
     """
 
     def __init__(self, model):
@@ -411,8 +425,14 @@ class Lp:
         self.model = model
         self._highs = _highs._Highs()
         for option, value in (("presolve", "on"), ("output_flag", False), ("log_to_console", False)):
-            self._highs.setOptionValue(option, value)
+            self._set_option(option, value)
         self._highs.passModel(lp)
+
+    def _set_option(self, option, value):
+        # HiGHS answers an unknown name or a bad value with a status, not an exception
+        status = self._highs.setOptionValue(option, value)
+        if status != _highs.HighsStatus.kOk:
+            raise LpError(f"HiGHS rejected option {option} = {value!r}: {status.name}")
 
     def solve(self, lam):
         """Maximize lam * alpha + (1 - lam) * beta over the model and read back the envelope point.
@@ -425,7 +445,8 @@ class Lp:
         cols = np.array([self.model.num_vars - 2, self.model.num_vars - 1], dtype=np.int32)
         self._highs.changeColsCost(2, cols, np.array([-lam, -(1.0 - lam)]))
         self._highs.run()
-        self._highs.setOptionValue("simplex_strategy", 4)  # primal, from the second run on
+        for option, value in _WARM_OPTIONS:  # from the second run on
+            self._set_option(option, value)
         return _read_solution(self._highs, self.model, lam)
 
 

@@ -14,6 +14,7 @@ from stoppred.priors import (
     DiscretePrior,
     Exponential,
     Uniform,
+    harmonic_prior,
     lambda_pair,
     power_root_cdf,
 )
@@ -395,6 +396,17 @@ def test_rank_chain_steps_down_at_huge_n():
     assert shapes.min() >= 1
     assert sum(map(int, shapes)) == b * n
     assert real.top < 1.0 and np.all(np.isfinite(vals))
+
+
+def test_estimators_reject_n_beyond_int64():
+    # both record chains count values in int64, so n = 2**63 is refused before
+    # anything is drawn; the tied chain is asked past 2**64, where a missing
+    # check fails in numpy rather than drawing about n ties per row
+    for real, n in ((UNIT, 2**63), (harmonic_prior(8), 2**64)):
+        for estimate in (simulate, engine.accepted_value_samples):
+            with pytest.raises(ValueError, match="record chains count values in int64"):
+                estimate(real, real, ONES, n, 10, 1)
+    assert simulate(UNIT, UNIT, ONES, 2**63 - 1, 10, 1).trials == 10
 
 
 @pytest.mark.parametrize(

@@ -298,6 +298,31 @@ def test_frontier_sweep_matches_cold_solves(n, weights, lambdas):
         assert abs(p.lam * p.alpha_star + (1.0 - p.lam) * p.beta_star - p.lp_star) <= 1e-6
 
 
+def test_warm_sweep_matches_cold_solves(desk_model):
+    # the warm re-solves of a 21-lambda grid land where cold solves do, to rounding
+    for p in frontier_sweep(10, 64, harmonic_prior(64), np.linspace(0.0, 1.0, 21)):
+        assert p.error is None
+        assert abs(p.lp_star - Lp(desk_model).solve(p.lam).objective) <= 1e-12
+
+
+def test_solution_counts_simplex_iterations(desk_model):
+    lp = Lp(desk_model)
+    iterations = {lam: lp.solve(lam).iterations for lam in np.linspace(1.0, 0.0, 21)}
+    assert iterations[1.0] > 0  # the cold run
+    # from lambda = 0.25 down the optimal basis stays the same, so each warm
+    # run starts at its optimum
+    assert all(it == 0 for lam, it in iterations.items() if lam <= 0.2)
+
+
+def test_rejected_option_raises(desk_model):
+    # HiGHS answers an unknown option with a status, which must not pass unseen
+    lp = Lp(desk_model)
+    with pytest.raises(LpError, match="^HiGHS rejected option no_such_option = 0.0: kError$"):
+        lp._set_option("no_such_option", 0.0)
+    for option, value in hardness._WARM_OPTIONS:
+        lp._set_option(option, value)
+
+
 def test_frontier_sweep_checks_lambdas_before_solving(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the sweep built or solved before checking its lambdas")
@@ -353,7 +378,7 @@ class _StubHighs:
         return SimpleNamespace(col_value=self.x)
 
     def getInfo(self):
-        return SimpleNamespace(objective_function_value=-self.objective)
+        return SimpleNamespace(objective_function_value=-self.objective, simplex_iteration_count=0)
 
 
 def test_read_solution_rejects_nan():
