@@ -14,8 +14,13 @@ Every estimator applies that rule through one vectorized numpy scan,
 the best-so-far entries first and evaluates the predicted cdf and the
 threshold at those entries only: a row of n i.i.d. values holds H_n of
 them on average (5.9 of 200), so the per-entry work is one running
-maximum.  The literal per-value loop that the scan is tested against is
-``run_bicriteria`` in tests/reference.py.
+maximum.  On a tall batch of short rows (4096 rows of 10 to 40 columns)
+``_running_max`` takes one np.maximum per column, which beats
+np.maximum.accumulate's per-row overhead, and ThresholdFn.eval looks the
+times up in a cell table that gives searchsorted's answer without sorting;
+both are exact, so the scan's results do not depend on either.  The literal
+per-value loop that the scan is tested against is ``run_bicriteria`` in
+tests/reference.py.
 
 The rows come in two forms, each from a draw that returns (values, times)
 and scans nothing.  Full rows (``_full_rows``) hold all n values and their
@@ -46,26 +51,50 @@ from .priors import _count, power_root_cdf
 _BATCH = 4096  # fixed so that a seed pins the whole random stream
 # simulate and accepted_value_samples draw record rows from this n on and
 # full rows below it.  For 4e5 trials of a robustified gm threshold on
-# Uniform(0, 1) (2-CPU host) the two cost the same near n = 20: record rows
-# take 1.1-1.2x the time of full rows at n = 16, 0.97-0.99x at 20 and 0.69x
-# at 32.  On a 64-atom DiscretePrior, whose binomial chain is slower but
-# whose full-row quantile is slower still, record rows win from n = 12 on
-# (0.83x).
+# Uniform(0, 1) (2-CPU host, draw and scan) the two cost the same near
+# n = 20: record rows take 1.2x the time of full rows at n = 16, 1.0-1.05x
+# at 20, 0.8-0.95x at 24 and 0.6x at 32.  On a 64-atom DiscretePrior, whose
+# binomial chain is slower but whose full-row quantile is slower still,
+# record rows win from n = 12 on (0.84x).
 RECORD_ROWS_MIN_N = 20
 # the record chains count values in int64 (rng.integers, rng.binomial)
 _MAX_N = np.iinfo(np.int64).max
+# _running_max takes one np.maximum per column for batches of at least this
+# many rows and at most this many columns (see there)
+_COLUMNWISE_MIN_ROWS = 1024
+_COLUMNWISE_MAX_COLS = 48
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 __all__ = [
     "RECORD_ROWS_MIN_N",
     "SimReport",
     "scan_first_accept",
-    "run_sharding",
     "simulate",
     "accepted_value_samples",
     "simulate_coupled_sharding",
     "googol_win_mc",
 ]
+
+
+def _running_max(values):
+    """np.maximum.accumulate(values, axis=1), by columns where that is faster.
+
+    A batch of many short rows (4096 rows of 10 to 40 columns, record rows)
+    pays accumulate's per-row overhead, about 40 ns a row; one np.maximum
+    per column costs about 0.7 us a column instead, so on 1024 to 4096 rows
+    of 10 to 48 columns it takes 0.36-0.71x the time.  Its reads are
+    strided, though: at 256 rows, or at 64 columns (where the column stride
+    is a power of two), it is up to 1.4x slower, at 4096 x 1000 2.5x and at
+    1 x 1000 150x.  The maximum is exact, so both give the same array.
+    """
+    rows, n = values.shape
+    if rows < _COLUMNWISE_MIN_ROWS or n > _COLUMNWISE_MAX_COLS:
+        return np.maximum.accumulate(values, axis=1)
+    running = np.empty_like(values)
+    running[:, 0] = values[:, 0]
+    for j in range(1, n):
+        np.maximum(running[:, j - 1], values[:, j], out=running[:, j])
+    return running
 
 
 def scan_first_accept(values, times, predicted, theta):
@@ -85,7 +114,7 @@ def scan_first_accept(values, times, predicted, theta):
     rows, n = values.shape
     # a value is at least its running maximum through itself exactly when it
     # is at least every earlier value; the scan starts from a maximum of 0
-    running = np.maximum.accumulate(values, axis=1)
+    running = _running_max(values)
     maximum = running[:, -1].copy()
     flat = np.flatnonzero(values >= np.maximum(running, 0.0, out=running))
     del running  # a rows x n array, not needed for the per-entry work
@@ -93,34 +122,17 @@ def scan_first_accept(values, times, predicted, theta):
     level = theta.eval(times.reshape(-1)[flat])
     ok = (predicted.cdf(x) > level) | (level == 0.0)
     flat, x = flat[ok], x[ok]
-    row, col = np.divmod(flat, n)
+    row = flat // n
     # flat indices run row by row, so a row's first passing entry is where
-    # the row index changes
+    # the row index changes; only those need a column
     first = np.ones(len(row), dtype=bool)
     np.not_equal(row[1:], row[:-1], out=first[1:])
+    flat, row = flat[first], row[first]
     pos = np.full(rows, -1, dtype=np.int64)
     acc = np.zeros(rows)
-    pos[row[first]] = col[first]
-    acc[row[first]] = x[first]
+    pos[row] = flat - row * n
+    acc[row] = x[first]
     return pos, acc, maximum
-
-
-def run_sharding(values, k, predicted, theta, rng):
-    """One pass of the implicit-sharding algorithm over values in arrival order.
-
-    Draws n*k sorted uniform arrival times, picks one uniformly from the i-th
-    block of k as the virtual time of value i, and accepts the first
-    best-so-far value whose cdf under the k-th root of the predicted prior
-    exceeds the threshold at its virtual time.
-    """
-    values = np.asarray(values, dtype=float)
-    k = _count(k, "k")
-    n = len(values)
-    shard_prior = power_root_cdf(predicted, k)
-    t_sorted = np.sort(rng.random(n * k))
-    s = t_sorted[np.arange(n) * k + rng.integers(0, k, size=n)]
-    pos = scan_first_accept(values[None, :], s[None, :], shard_prior, theta)[0]
-    return None if pos[0] < 0 else int(pos[0])
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,51 @@ __all__ = [
 ]
 
 _MONO_TOL = 1e-12
+# eval answers an array of at least this many times, all in [0, 1], from the
+# threshold's cell table (_cell_table); smaller ones go to searchsorted.  At
+# 12k times the table takes 0.07-0.4x searchsorted's time; at 1024 it takes
+# 0.4-1.4x (the most for a few-piece threshold that needs two passes)
+_TABLE_MIN_SIZE = 1024
+# a table has at most this many cells (0.5 MB of indices), so a threshold of
+# more than half as many pieces keeps searchsorted
+_TABLE_MAX_CELLS = 1 << 16
+# and at most this many correction passes, one per breakpoint that can share
+# a cell; clustered breakpoints that need more keep searchsorted
+_TABLE_MAX_PASSES = 2
+
+
+def _cell_table(bp):
+    """(cells, first, passes) for eval's table lookup, or None where searchsorted stays.
+
+    The cells are the 2**j + 1 sets of times t with floor(t * cells) = c:
+    [c/cells, (c+1)/cells) for c < cells, and t = 1.  With a power of two
+    t * cells is exact, so floor(t * cells) is exactly t's cell, and a
+    breakpoint's cell is found the same way.  first[c] counts the
+    breakpoints below cell c; searchsorted counts those below t, which adds
+    the breakpoints in [c / cells, t), at most passes of them: the most any
+    cell holds.
+    """
+    cells = 1 << (2 * len(bp) - 1).bit_length()  # the power of two at or above 2 len(bp)
+    if cells > _TABLE_MAX_CELLS:
+        return None
+    # the last cell holds the breakpoint 1 and the time 1, which needs no pass
+    counts = np.bincount((bp * cells).astype(np.intp), minlength=cells + 1)[:-1]
+    passes = int(counts.max())
+    if passes > _TABLE_MAX_PASSES:
+        return None
+    first = np.zeros(cells + 1, dtype=np.intp)
+    np.cumsum(counts, out=first[1:])
+    return cells, first, passes
 
 
 class ThresholdFn:
-    """Left-continuous non-increasing step function on [0, 1]."""
+    """Left-continuous non-increasing step function on [0, 1].
 
-    __slots__ = ("breakpoints", "values")
+    Treat an instance as immutable: eval keeps a table built from the
+    breakpoints.
+    """
+
+    __slots__ = ("breakpoints", "values", "_table")
 
     def __init__(self, breakpoints, values):
         bp = np.asarray(breakpoints, dtype=float)
@@ -59,6 +98,7 @@ class ThresholdFn:
             raise ValueError("values must be non-negative")
         self.breakpoints = bp
         self.values = vals
+        self._table = False  # eval builds it on first use; None means searchsorted
 
     def __repr__(self):
         return f"ThresholdFn({len(self.values)} pieces)"
@@ -71,13 +111,30 @@ class ThresholdFn:
         )
 
     def eval(self, t):
-        """Left-continuous evaluation; vectorized over t."""
+        """Left-continuous evaluation; vectorized over t.
+
+        The result is values[min(searchsorted(breakpoints, t, "left"),
+        len - 1)] exactly.  An array of times in [0, 1] is looked up in a
+        cell table, which sorts nothing; scalars, small arrays and times
+        outside [0, 1] (NaN too) go to searchsorted, whose cost per unsorted
+        time grows with the pieces (at 12k times, 8 ns for 2 and 45 ns for
+        300; the table takes 3-5 ns).
+        """
         arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
+        if arr.size >= _TABLE_MIN_SIZE:
+            if self._table is False:
+                self._table = _cell_table(self.breakpoints)
+            # written so that a NaN fails it and never reaches the integer cast
+            if self._table is not None and arr.min() >= 0.0 and arr.max() <= 1.0:
+                cells, first, passes = self._table
+                idx = first[(arr * cells).astype(np.intp)]
+                # the last breakpoint is 1 >= t, so idx stops there
+                for _ in range(passes):
+                    idx += self.breakpoints[idx] < arr
+                return self.values[idx]
         idx = np.searchsorted(self.breakpoints, arr, side="left")
-        idx = np.minimum(idx, len(self.values) - 1)
-        out = self.values[idx]
-        return float(out) if scalar else out
+        out = self.values[np.minimum(idx, len(self.values) - 1)]
+        return float(out) if arr.ndim == 0 else out
 
     def pieces(self):
         """Iterate (a, b, value) with the piece covering (a, b]."""

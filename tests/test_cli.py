@@ -405,8 +405,6 @@ UNIT = priors.Uniform(0.0, 1.0)
         pytest.param(lambda: hardness.harmonic_prior(math.inf), id="harmonic-prior-inf"),
         pytest.param(lambda: hardness.build_polytope(math.inf, 2, [0.5, 0.5]), id="build-polytope-n-inf"),
         pytest.param(lambda: hardness.build_polytope(2, math.nan, [0.5, 0.5]), id="build-polytope-k-nan"),
-        pytest.param(lambda: engine.run_sharding([1.0, 2.0], math.inf, UNIT, DYNKIN, np.random.default_rng(0)),
-                     id="run-sharding-inf"),
         pytest.param(lambda: engine.simulate_coupled_sharding(UNIT, UNIT, DYNKIN, 3, math.inf, 10, 0),
                      id="coupled-sharding-inf"),
     ],
@@ -432,8 +430,6 @@ COUNTS = [
     pytest.param(lambda c: maxexp.solve_steps(0.6, 0.1, c(40)), id="solve-steps"),
     pytest.param(lambda c: maxexp.max_alpha_for_beta(0.1, c(40)), id="max-alpha-for-beta"),
     pytest.param(lambda c: maxexp.tradeoff_curve_maxexp([0.1], c(40)), id="maxexp-curve"),
-    pytest.param(lambda c: engine.run_sharding([0.3, 0.9, 0.5], c(3), UNIT, DYNKIN, np.random.default_rng(4)),
-                 id="run-sharding"),
     pytest.param(lambda c: engine.simulate(UNIT, UNIT, DYNKIN, c(10), 500, 3), id="simulate-n"),
     pytest.param(lambda c: engine.simulate(UNIT, UNIT, DYNKIN, c(40), 500, 3), id="simulate-record-rows-n"),
     pytest.param(lambda c: engine.simulate(UNIT, UNIT, DYNKIN, 10, c(500), 3), id="simulate-trials"),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from stoppred import engine
-from stoppred.engine import googol_win_mc, run_sharding, simulate, simulate_coupled_sharding
+from stoppred.engine import googol_win_mc, simulate, simulate_coupled_sharding
 from stoppred.analytics import win_probability
 from stoppred.priors import (
     E_INV,
@@ -120,23 +120,23 @@ def test_robustness_floor_under_misprediction():
         assert rep.maxprob >= floor - 4.0 * rep.maxprob_se
 
 
-def test_run_sharding_threshold_one_and_bad_k():
+def test_coupled_sharding_threshold_one_and_bad_k():
     rng = np.random.default_rng(6)
-    assert run_sharding(rng.random(6), 3, UNIT, ONES, rng) is None
+    shard_vals, t_sorted = engine._full_rows(rng, 5, 6 * 3, UNIT)
+    sharding, base = engine._coupled_passes(shard_vals, t_sorted, 3, UNIT, ONES)
+    assert not sharding.any() and not base.any()
     with pytest.raises(ValueError):
-        run_sharding(rng.random(6), 0, UNIT, ONES, rng)
+        simulate_coupled_sharding(UNIT, UNIT, ONES, 6, 0, 10, 6)
 
 
-def test_run_sharding_k1_matches_bicriteria_distribution():
-    # with one shard per value the virtual times are plain sorted uniforms
-    rng = np.random.default_rng(8)
+def test_coupled_sharding_k1_matches_bicriteria_distribution():
+    # with one shard per value the sharding pass sees the plain time-ordered
+    # row, so its win rate is simulate's, on an independent stream
     theta = dynkin_threshold(E_INV)
     n, trials = 6, 30_000
-    wins_shard = 0
-    for _ in range(trials):
-        values = rng.random(n)
-        idx = run_sharding(values, 1, UNIT, theta, rng)
-        wins_shard += idx is not None and values[idx] == values.max()
+    values, times = engine._full_rows(np.random.default_rng(8), trials, n, UNIT)
+    accepted, _ = engine._coupled_passes(values, times, 1, UNIT, theta)
+    wins_shard = int(np.count_nonzero((accepted > 0.0) & (accepted == values.max(axis=1))))
     rep = simulate(UNIT, UNIT, theta, n, trials, 14)
     p1 = wins_shard / trials
     se = math.sqrt(p1 * (1 - p1) / trials + rep.maxprob_se**2)
@@ -235,13 +235,16 @@ def test_coupled_passes_match_literal_loops(case, predicted, theta):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1), step_thresholds())
-def test_run_sharding_matches_literal_loop(n, k, seed, theta):
-    values = np.random.default_rng(seed).random(n)
-    got = run_sharding(values, k, UNIT, theta, np.random.default_rng(seed + 1))
-    rng = np.random.default_rng(seed + 1)
-    t_sorted = np.sort(rng.random(n * k))
-    s = t_sorted[np.arange(n) * k + rng.integers(0, k, size=n)]
-    assert got == run_bicriteria(values, s, power_root_cdf(UNIT, k), theta)
+def test_coupled_passes_single_row_match_literal_loop(n, k, seed, theta):
+    # one row of n * k shard values: the sharding pass scans its n block
+    # maxima at their argmax times
+    rng = np.random.default_rng(seed)
+    shard_vals, t_sorted = rng.random((1, n * k)), np.sort(rng.random((1, n * k)), axis=1)
+    shard_pred = power_root_cdf(UNIT, k)
+    got = engine._coupled_passes(shard_vals, t_sorted, k, shard_pred, theta)[0][0]
+    arg = np.arange(0, n * k, k) + shard_vals[0].reshape(n, k).argmax(axis=1)
+    idx = run_bicriteria(shard_vals[0, arg], t_sorted[0, arg], shard_pred, theta)
+    assert got == (0.0 if idx is None else shard_vals[0, arg[idx]])
 
 
 @pytest.mark.parametrize(

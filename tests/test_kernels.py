@@ -1,10 +1,13 @@
-"""Semantics of the engine's batched scan on hand-built rows."""
+"""Semantics of the engine's batched scan and its running maximum on hand-built and generated rows."""
 
 import numpy as np
 
+from stoppred import engine
 from stoppred.engine import scan_first_accept
-from stoppred.priors import Prior, Uniform
-from stoppred.thresholds import ThresholdFn
+from stoppred.priors import Prior, Uniform, lambda_pair
+from stoppred.thresholds import ThresholdFn, gm_threshold, robustify
+
+from reference import run_bicriteria
 
 HALF = ThresholdFn([1.0], [0.5])
 
@@ -72,3 +75,63 @@ def test_levels_are_evaluated_at_best_so_far_entries_only():
     assert best < values.size // 5
     assert prior.seen == best
     assert theta.seen == best
+
+
+def test_running_max_matches_accumulate_on_both_branches():
+    rng = np.random.default_rng(11)
+    for (rows, n), columnwise in [((4096, 10), True), ((1024, 40), True), ((1, 1000), False), ((81, 5000), False)]:
+        assert (rows >= engine._COLUMNWISE_MIN_ROWS and n <= engine._COLUMNWISE_MAX_COLS) == columnwise
+        values = rng.random((rows, n))
+        values[:, 1::7] = values[:, :-1:7]  # ties
+        values[::5, 2::3] *= -1.0
+        values[::9, -1] = np.nan
+        assert np.array_equal(engine._running_max(values), np.maximum.accumulate(values, axis=1), equal_nan=True)
+
+
+def test_running_max_on_simulated_rows(monkeypatch):
+    # the 3 x 15 full rows of a 3-trial simulation, and a full 4096 x 15 batch
+    seen = []
+
+    def running_max(values):
+        seen.append(values.shape)
+        out = running_max_of(values)
+        assert np.array_equal(out, np.maximum.accumulate(values, axis=1))
+        return out
+
+    running_max_of = engine._running_max
+    monkeypatch.setattr(engine, "_running_max", running_max)
+    engine.simulate(Uniform(0.0, 1.0), Uniform(0.0, 1.0), HALF, n=15, trials=3, seed=12)
+    engine.simulate(Uniform(0.0, 1.0), Uniform(0.0, 1.0), HALF, n=15, trials=4096, seed=12)
+    assert seen == [(3, 15), (4096, 15)]
+
+
+def _literal(values, times, predicted, theta):
+    pos = []
+    for row, t in zip(values, times):
+        idx = run_bicriteria(row, t, predicted, theta)
+        pos.append(-1 if idx is None else idx)
+    return np.array(pos)
+
+
+def test_scan_matches_literal_loop_on_wide_and_tall_batches():
+    rng = np.random.default_rng(13)
+    theta = robustify(gm_threshold(40, 300), lambda_pair(0.3))
+    prior = Uniform(0.0, 1.0)
+    for shape in [(1, 1000), (3, 400), (1024, 12)]:
+        values = rng.random(shape)
+        times = np.sort(rng.random(shape), axis=1)
+        pos, acc, maximum = scan_first_accept(values, times, prior, theta)
+        assert pos.tolist() == _literal(values, times, prior, theta).tolist()
+        hit = pos >= 0
+        assert np.array_equal(acc[hit], values[hit, pos[hit]]) and not acc[~hit].any()
+        assert np.array_equal(maximum, values.max(axis=1))
+
+
+def test_scan_leaves_values_unchanged():
+    rng = np.random.default_rng(14)
+    for shape in [(4096, 10), (2, 300)]:
+        values = rng.random(shape) - 0.2  # negatives that the scan's 0 start clips
+        times = np.sort(rng.random(shape), axis=1)
+        before, times_before = values.copy(), times.copy()
+        scan_first_accept(values, times, Uniform(0.0, 1.0), HALF)
+        assert np.array_equal(values, before) and np.array_equal(times, times_before)

@@ -115,13 +115,3 @@ def test_coupled_sharding_stream(k, monkeypatch):
     assert engine.simulate_coupled_sharding(Uniform(0, 1), Uniform(0, 1), ROB, 8, k, 3000, 67) == 0
     sharding, base = map(np.concatenate, zip(*batches))
     assert (float(sharding.sum()), float(base.sum()), _digest(sharding), _digest(base)) == COUPLED[k]
-
-
-def test_run_sharding_stream():
-    pos = []
-    for seed in range(300):
-        values = np.random.default_rng(seed).random(8)
-        p = engine.run_sharding(values, 1 + seed % 3, Uniform(0, 1), ROB, np.random.default_rng(seed + 1000))
-        pos.append(-1 if p is None else p)
-    pos = np.array(pos, dtype=np.int64)
-    assert (int(pos.sum()), _digest(pos)) == (719, "7b8400b23aa7d83e")

@@ -39,6 +39,109 @@ def test_eval_vectorized():
     assert out.tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
+def _searchsorted_eval(theta, t):
+    """eval's definition: values[min(searchsorted(breakpoints, t, "left"), len - 1)]."""
+    idx = np.searchsorted(theta.breakpoints, np.asarray(t, dtype=float), side="left")
+    return theta.values[np.minimum(idx, len(theta.values) - 1)]
+
+
+def _with_breaks(breaks):
+    breaks = np.unique(np.append(breaks[(breaks > 0.0) & (breaks < 1.0)], 1.0))
+    return ThresholdFn(breaks, np.linspace(1.0, 0.0, len(breaks)))
+
+
+@st.composite
+def eval_thresholds(draw):
+    """Thresholds for eval's table: clustered breakpoints, one piece, robustified
+    gm grids, and grids of 3e4 pieces (a full table) and 1e5 pieces (too many
+    for one)."""
+    kind = draw(st.sampled_from(["clustered", "one-piece", "robust-gm", "grid"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "clustered":
+        rng = np.random.default_rng(seed)
+        return _with_breaks(rng.random(draw(st.integers(1, 400))) ** draw(st.sampled_from([1, 5, 30])))
+    if kind == "one-piece":
+        return ThresholdFn([1.0], [draw(st.floats(0.0, 2.0))])
+    if kind == "robust-gm":
+        n, m = draw(st.integers(2, 200)), draw(st.integers(2, 2000))
+        return robustify(gm_threshold(n, m), lambda_pair(draw(st.floats(0.0, E_INV))))
+    return gm_threshold(draw(st.integers(2, 50)), draw(st.sampled_from([30_000, 100_000])))
+
+
+SUBNORMALS = [5e-324, 1e-320, 2.2250738585072009e-308]
+
+
+def _probe_times(theta, extra):
+    """Every breakpoint and its two neighbouring floats, 0, 1, subnormals and extra."""
+    bp = theta.breakpoints
+    return np.concatenate(
+        [bp, np.nextafter(bp, 0.0), np.minimum(np.nextafter(bp, 2.0), 1.0), [0.0, -0.0, 1.0], SUBNORMALS, extra]
+    )
+
+
+def _uniform_times(seed):
+    # enough times for eval to use its table
+    return np.random.default_rng(seed).random(thresholds._TABLE_MIN_SIZE)
+
+
+@settings(max_examples=120, deadline=None)
+@given(eval_thresholds(), st.lists(st.floats(0.0, 1.0), max_size=100), st.integers(0, 2**32 - 1))
+def test_eval_table_matches_searchsorted(theta, extra, seed):
+    t = _probe_times(theta, extra + _uniform_times(seed).tolist())
+    got = theta.eval(t)
+    assert got.dtype == float and np.array_equal(got, _searchsorted_eval(theta, t))
+    # a second call reuses the table
+    assert np.array_equal(theta.eval(t[::-1]), _searchsorted_eval(theta, t[::-1]))
+
+
+OUTSIDE = [-0.0, -1e-300, -0.5, 1.0 + 2**-52, 7.0, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    eval_thresholds(),
+    st.lists(st.floats(0.0, 1.0), max_size=100),
+    st.lists(st.sampled_from(OUTSIDE), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_eval_outside_unit_interval_matches_searchsorted(theta, inside, outside, seed):
+    # arrays large enough for the table, which a single time outside [0, 1] turns away
+    t = np.array(inside + _uniform_times(seed).tolist() + outside)
+    assert np.array_equal(theta.eval(t), _searchsorted_eval(theta, t))
+    for x in OUTSIDE:
+        assert theta.eval(x) == float(_searchsorted_eval(theta, x))
+
+
+def test_eval_shapes():
+    theta = robustify(gm_threshold(10, 300), lambda_pair(0.3))
+    rng = np.random.default_rng(5)
+    for t in (0.4, np.float64(0.4), np.array(0.4), 1, np.array([0.4])):
+        out = theta.eval(t)
+        assert type(out) is (float if np.ndim(t) == 0 else np.ndarray)
+        assert out == _searchsorted_eval(theta, t)
+    for t in (np.empty(0), np.empty((0, 3)), rng.random((3, 4)), rng.random((50, 40)), rng.random((2, 500)).T):
+        out = theta.eval(t)
+        assert out.shape == t.shape and np.array_equal(out, _searchsorted_eval(theta, t))
+    assert theta._table is not None  # the 2000-time array went through the table
+
+
+def test_eval_table_guard():
+    t = _uniform_times(6)
+    # a table for 3e4 pieces fits; for 1e5 or 1e6 it would be too large
+    for m, table in [(30_000, True), (100_000, False), (1_000_000, False)]:
+        theta = gm_threshold(10, m)
+        assert np.array_equal(theta.eval(t), _searchsorted_eval(theta, t))
+        assert (theta._table is not None) == table
+    # clustered breakpoints crowd one cell beyond the correction passes
+    clustered = _with_breaks(np.random.default_rng(7).random(100) ** 30)
+    assert np.array_equal(clustered.eval(t), _searchsorted_eval(clustered, t))
+    assert clustered._table is None
+    # a gm grid and a robustified one need at most the passes allowed
+    for theta in (gm_threshold(10, 300), robustify(gm_threshold(10, 300), lambda_pair(1 / 3))):
+        theta.eval(t)
+        assert 1 <= theta._table[2] <= thresholds._TABLE_MAX_PASSES
+
+
 def test_generalized_inverse_examples():
     assert generalized_inverse(dynkin_threshold(E_INV), 0.5) == pytest.approx(E_INV)
     zero = ThresholdFn([1.0], [0.0])
