@@ -9,8 +9,9 @@ its own output file; identical manifests produce byte-identical files.
 Prior specs: ``uniform:a,b``, ``exp:rate``, ``pmf:FILE`` (one probability
 per line over {1..K}), ``harmonic:K``.
 Threshold specs: ``dynkin:lam``, ``gm:n`` (grid size from --m),
-``single:n``, ``file:PATH`` (CSV as written by the thresholds command);
-``--robustify beta`` wraps any of them.
+``single:n``, ``file:PATH`` (CSV as written by the thresholds command, or a
+maxexp-curve dump, which simulate reads at theta ** (1/n)); ``--robustify
+beta`` wraps any of them.
 
 Exit codes: 0 ok, 2 bad arguments (including values the library rejects
 with ValueError and output paths that cannot be written), 3 numerical
@@ -27,7 +28,7 @@ import sys
 import numpy as np
 
 from . import analytics, engine, maxexp, thresholds
-from .priors import E_INV, DiscretePrior, Exponential, Uniform, harmonic_prior, lambda_pair
+from .priors import E_INV, DiscretePrior, Exponential, Uniform, _count, harmonic_prior, lambda_pair
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,24 +59,30 @@ def parse_prior(spec):
     raise CliError(f"unknown prior family {kind!r}")
 
 
-def parse_threshold(spec, m, robustify_beta):
-    kind, _, arg = spec.partition(":")
+def parse_threshold(args):
+    kind, _, arg = args.threshold.partition(":")
     try:
         if kind == "dynkin":
             theta = thresholds.dynkin_threshold(float(arg))
         elif kind == "gm":
-            theta = thresholds.gm_threshold(int(arg), m)
+            theta = thresholds.gm_threshold(int(arg), args.m)
         elif kind == "single":
             theta = thresholds.single_threshold(int(arg))
         elif kind == "file":
             with open(arg) as fh:
-                theta = thresholds.threshold_from_csv(fh.read())
+                text = fh.read()
+            theta = thresholds.threshold_from_csv(text)
+            # a maxexp-curve dump's levels are on the F(x)**n scale, which needs simulate's --n
+            if text.startswith("# command=maxexp-curve "):
+                if not hasattr(args, "n"):
+                    raise CliError(f"{arg} is a maxexp-curve dump on the F(x)^n scale; only simulate reads it")
+                theta = thresholds.ThresholdFn(theta.breakpoints, theta.values ** (1.0 / _count(args.n, "n")))
         else:
             raise CliError(f"unknown threshold spec {kind!r}")
     except (ValueError, OSError) as exc:
-        raise CliError(f"bad threshold spec {spec!r}: {exc}") from exc
-    if robustify_beta is not None:
-        theta = thresholds.robustify(theta, lambda_pair(robustify_beta))
+        raise CliError(f"bad threshold spec {args.threshold!r}: {exc}") from exc
+    if args.robustify is not None:
+        theta = thresholds.robustify(theta, lambda_pair(args.robustify))
     return theta
 
 
@@ -207,7 +214,7 @@ def cmd_maxprob_curve(args):
 def cmd_thresholds(args):
     _check_m(args.m)
     _check_out(args.out)
-    theta = parse_threshold(args.threshold, args.m, args.robustify)
+    theta = parse_threshold(args)
     head = manifest_line(
         "thresholds", {"threshold": args.threshold, "m": args.m, "robustify": args.robustify}
     )
@@ -220,7 +227,7 @@ def cmd_simulate(args):
     _check_out(args.out)
     real = parse_prior(args.real)
     predicted = parse_prior(args.predicted)
-    theta = parse_threshold(args.threshold, args.m, args.robustify)
+    theta = parse_threshold(args)
     report = engine.simulate(real, predicted, theta, args.n, args.trials, args.seed)
     head = manifest_line(
         "simulate",
@@ -344,6 +351,13 @@ def _verify_golden():
     sol = maxexp.solve_steps(0.6908, 0.01, 300)
     checks.append(("golden curve point certifies", sol.feasible))
     checks.append(("golden boundary step value", abs(sol.theta_values[0] - 1.0165) <= 0.01))
+    # the certified rule meets the sufficient consistency conditions, and
+    # sharding never accepts less than the plain scan on coupled shard values
+    slack = analytics.check_consistency_conditions(sol.threshold(), 0.6908, sol.pair)
+    checks.append(("golden rule meets the consistency conditions", slack >= -1e-6))
+    rule, uni = thresholds.robustify(thresholds.gm_threshold(10, 300), pair), Uniform(0.0, 1.0)
+    violations = engine.simulate_coupled_sharding(uni, uni, rule, 10, 4, 2000, 20240901)
+    checks.append(("sharding coupling dominates n=10 k=4", violations == 0))
     return checks
 
 

@@ -36,7 +36,7 @@ the running maximum is again a weak record and ranks cannot express ties.
 RECORD_ROWS_MIN_N on and full rows below it, where full rows are faster, and
 ``_scan_rows`` scans each batch once; the scan returns the row maxima too.
 ``simulate_coupled_sharding`` (which needs every shard value) draws full
-rows; ``googol_win_mc`` (fixed values) draws only arrival orders.
+rows; ``googol_win_mc`` (fixed values) draws arrival orders only (``_shuffled_rows``).
 """
 
 from __future__ import annotations
@@ -276,11 +276,18 @@ def _tied_record_rows(rng, b, n, real):
     return _padded(b, records)
 
 
-def _scan_rows(draw, real, predicted, theta, n, trials, seed):
-    """(pos, accepted, maximum) per batch of the rows draw(rng, b, n, real) returns."""
+def _shuffled_rows(rng, b, n, values):
+    """b rows of the n fixed values, each in a uniformly random arrival order: (values, times)."""
+    times = rng.random((b, n))
+    order = np.argsort(times, axis=1)
+    return values[order], np.take_along_axis(times, order, axis=1)
+
+
+def _scan_rows(draw, source, predicted, theta, n, trials, seed):
+    """(pos, accepted, maximum) per batch of the rows draw(rng, b, n, source) returns (source: a prior or values)."""
     rng = np.random.default_rng(seed)
     for b in _batches(trials):
-        yield scan_first_accept(*draw(rng, b, n, real), predicted, theta)
+        yield scan_first_accept(*draw(rng, b, n, source), predicted, theta)
 
 
 def _check_support(real):
@@ -363,20 +370,16 @@ def googol_win_mc(values, predicted, theta, trials, seed):
     accepts the maximum value.
     """
     values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or len(values) == 0:
+        raise ValueError("values must be a non-empty 1-d array")
     if len(np.unique(values)) != len(values):
         raise ValueError("values must be distinct")
     if not np.all(values >= 0.0):  # written so that a NaN fails it
         raise ValueError("values must be non-negative")
-    n, trials = _count(len(values), "n"), _count(trials, "trials")
-    vmax = values.max()
-    rng = np.random.default_rng(seed)
+    trials = _count(trials, "trials")
     wins = 0
-    for b in _batches(trials):
-        times = rng.random((b, n))
-        order = np.argsort(times, axis=1)
-        tv = np.take_along_axis(times, order, axis=1)
-        pos, acc, _ = scan_first_accept(values[order], tv, predicted, theta)
-        wins += int(np.count_nonzero((pos >= 0) & (acc == vmax)))
+    for pos, acc, mx in _scan_rows(_shuffled_rows, values, predicted, theta, len(values), trials, seed):
+        wins += int(np.count_nonzero((pos >= 0) & (acc == mx)))
     p = wins / trials
     return p, math.sqrt(p * (1.0 - p) / trials)
 

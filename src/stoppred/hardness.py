@@ -26,7 +26,7 @@ so row lengths stay O(1) or O(n), every coefficient lies in [0, 1] (the
 unscaled rows carry factors down to F(1)^n, which sink below solver
 tolerances at full scale), and the robustness rows read beta <= b_l.
 The polytope does not depend on lambda, so build_polytope takes none: lambda
-enters only as the alpha and beta costs, passed to Lp.solve or export_lp.
+enters only as the alpha and beta costs of Lp.solve and export_lp_objective.
 The model is held in the form HiGHS takes: one Csr matrix (a
 compressed-sparse-row triple with the matrix-vector product the solution
 check needs) with the <= rows first and the = rows after them, lower and
@@ -41,11 +41,11 @@ it, with HiGHS's bound perturbation off: perturbing the bounds would move
 the run off the vertex it already holds, and the perturbation would have
 to be cleaned up at its end.  frontier_sweep runs a whole lambda grid on
 one Lp.
-export_lp writes the model with a lambda's objective in the standard LP
-text format for external solvers.  Its lambda-free part, export_lp_body,
-is array code: each distinct coefficient is formatted once, and the rows
-are joined from blocks of tokens, so building the text takes less than
-three times its own length of memory.
+export_lp_objective and export_lp_body write an LP file's two parts, a
+lambda's objective and the model, in the standard LP text format for
+external solvers.  The body is array code: each distinct coefficient is
+formatted once, and the rows are joined from blocks of tokens, so building
+the text takes less than three times its own length of memory.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ __all__ = [
     "LpSolution",
     "LpError",
     "Lp",
-    "export_lp",
     "export_lp_objective",
     "export_lp_body",
     "FrontierPoint",
@@ -534,20 +533,15 @@ def win_prob_by_truncation(rej, pmf):
 # LP text format
 
 
-def export_lp(model, lam):
-    """Serialize the LP at lambda lam in the standard LP text format."""
-    return export_lp_objective(lam) + export_lp_body(model)
-
-
 def export_lp_objective(lam):
-    """The objective section of ``export_lp``, the only part that depends on lambda."""
+    """The objective section of the LP text at lambda lam, the only part that depends on lambda."""
     lam = _check_lambda(lam)
     terms = [f"{coef:.17g} {name}" for name, coef in (("alpha", lam), ("beta", 1.0 - lam)) if coef != 0.0]
     return f"Maximize\n obj: {' + '.join(terms)}\n"
 
 
 def export_lp_body(model):
-    """The constraint and bounds sections of ``export_lp``, shared by every lambda."""
+    """The constraint and bounds sections of the LP text, shared by every lambda."""
     cols = np.array(model.col_names, dtype=object)
     return "".join(["Subject To\n", *_row_lines(model, cols), "Bounds\n", _bound_lines(model, cols), "End\n"])
 

@@ -176,7 +176,7 @@ class DiscretePrior(Prior):
         cum = np.minimum(np.cumsum(pmf), 1.0)
         cum[-1] = 1.0
         self._cum = cum
-        self._cdf_table = np.concatenate(([0.0], cum))  # entry l: P[X <= l]
+        self._cdf_table = np.concatenate(([0.0], cum, [np.nan]))  # entry l <= K: P[X <= l]
 
     def __repr__(self):
         return f"DiscretePrior(K={self.support_size})"
@@ -187,15 +187,15 @@ class DiscretePrior(Prior):
 
     def cdf(self, x):
         arr, scalar = _as_float_array(x)
-        # clip before the cast: a float past 2**63 has no integer to cast to
-        idx = np.clip(np.floor(arr), 0, self.support_size).astype(int)
-        return _maybe_scalar(self._cdf_table[idx], scalar)
+        # clip before the cast (a float past 2**63 has no int); NaN reads the table's last entry, NaN
+        idx = np.nan_to_num(np.clip(np.floor(arr), 0, self.support_size), nan=self.support_size + 1)
+        return _maybe_scalar(self._cdf_table[idx.astype(int)], scalar)
 
     def cdf_left(self, x):
         """Left limit of the cdf, P[X < x]: the cdf at the support point below x."""
         arr, scalar = _as_float_array(x)
-        idx = np.clip(np.ceil(arr) - 1.0, 0, self.support_size).astype(int)
-        return _maybe_scalar(self._cdf_table[idx], scalar)
+        idx = np.nan_to_num(np.clip(np.ceil(arr) - 1.0, 0, self.support_size), nan=self.support_size + 1)
+        return _maybe_scalar(self._cdf_table[idx.astype(int)], scalar)
 
     def quantile(self, q):
         """Right-continuous inverse: the smallest level with cdf >= q."""

@@ -28,7 +28,6 @@ __all__ = [
     "dynkin_threshold",
     "single_threshold",
     "gm_threshold",
-    "gm_threshold_value",
     "threshold_to_csv",
     "threshold_from_csv",
 ]
@@ -216,27 +215,15 @@ def _gm_root(n):
 
 
 def _gm_levels(n, s):
-    # 1 / (1 + y_n / (1 - s)) with y_n = c_n / (n - 1), as gm_threshold_value derives
-    return 1.0 / (1.0 + _gm_root(n) / ((n - 1) * (1.0 - s)))
-
-
-def gm_threshold_value(n, s):
-    """Best-choice threshold level at time s for n values.
+    """Best-choice threshold level at times s (scalar or array in [0, 1)) for n values.
 
     With x = 1/theta - 1, the first-order condition
     int_0^{1-s} ((1 + x u)**(n-1) - 1) / u du = 1 expands to
     sum_{k=1}^{n-1} C(n-1, k) (x (1-s))**k / k = 1 (Gilbert & Mosteller
-    1966), so x (1-s) is the same root y_n at every s and the level is
-    1 / (1 + y_n / (1-s)), solved once per n.  The level at s = 1 is 0 by
-    the boundary condition.
+    1966), so x (1-s) is the same root y_n = c_n / (n - 1) at every s and the
+    level is 1 / (1 + y_n / (1-s)), solved once per n.
     """
-    n = _count(n, "n", 2)
-    s = float(s)
-    if not (0.0 <= s <= 1.0):
-        raise ValueError("s must lie in [0, 1]")
-    if s == 1.0:
-        return 0.0
-    return float(_gm_levels(n, s))
+    return 1.0 / (1.0 + _gm_root(n) / ((n - 1) * (1.0 - s)))
 
 
 def gm_threshold(n, m):

@@ -15,7 +15,8 @@ Each one is a second, independent route to a quantity the package computes
   enumeration, against the LP's win-probability rows;
 * export_lp_body_by_rows: hardness.export_lp_body's text written one
   line at a time, with each coefficient formatted where it is written;
-* parse_lp: a reader for the LP text format of hardness.export_lp.
+* parse_lp: a reader for the LP text format of hardness.export_lp_objective
+  and export_lp_body.
 """
 
 import math
@@ -195,7 +196,7 @@ def dense(csr):
 
 
 def export_lp_body_by_rows(model):
-    """The constraint and bounds sections of hardness.export_lp, row by row."""
+    """The constraint and bounds sections of the LP text (hardness.export_lp_body), row by row."""
     names = model.col_names
     lines = ["Subject To"]
     exprs = _row_exprs(model.a, names)

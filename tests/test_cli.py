@@ -8,6 +8,8 @@ from stoppred import analytics, cli, engine, hardness, maxexp, priors, threshold
 from stoppred.priors import E_INV
 from stoppred.thresholds import threshold_from_csv
 
+from reference import powered
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -21,7 +23,7 @@ def test_verify_quick_passes(capsys):
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize("suite, count", [("oracle", 12), ("paper", 6)])
+@pytest.mark.parametrize("suite, count", [("oracle", 12), ("paper", 8)])
 def test_verify_oracle_and_paper_pass(capsys, suite, count):
     code, out, _ = run_cli(capsys, "verify", suite)
     assert code == 0
@@ -146,7 +148,7 @@ def test_hardness_frontier_export(tmp_path, capsys):
     for path, lam in zip(files, [0.0, 1.0]):
         head, text = path.read_bytes().split(b"\n", 1)
         assert head.startswith(b"\\ command=hardness-frontier") and f" lambda={lam:.17g} ".encode() in head
-        assert text == hardness.export_lp(model, lam).encode()
+        assert text == (hardness.export_lp_objective(lam) + hardness.export_lp_body(model)).encode()
 
 
 def test_export_needs_an_out_directory(capsys):
@@ -220,11 +222,24 @@ def test_dump_thresholds_writes_each_certified_threshold(tmp_path, capsys):
         text = (dump / f"theta_beta_{beta:.6f}.csv").read_text()
         assert text.startswith("# command=maxexp-curve alpha=")
         assert threshold_from_csv(text) == maxexp.max_alpha_for_beta(beta, 10)[1].threshold()
+    # the dumped levels are on the F(x)**n scale; simulate reads them at theta ** (1/n)
+    path = dump / "theta_beta_0.300000.csv"
     code, out, _ = run_cli(capsys, "simulate", "--real", "uniform:0,1", "--predicted", "uniform:0,1",
-                           "--threshold", f"file:{dump / 'theta_beta_0.300000.csv'}",
-                           "--n", "10", "--trials", "1000", "--seed", "0")
+                           "--threshold", f"file:{path}", "--n", "10", "--trials", "1000", "--seed", "0")
     assert code == 0
-    assert "maxprob=" in out
+    report = engine.simulate(UNIT, UNIT, powered(threshold_from_csv(path.read_text()), 1 / 10), 10, 1000, 0)
+    assert out.splitlines()[1:] == [
+        f"trials={report.trials}",
+        f"maxprob={report.maxprob:.17g}",
+        f"maxprob_se={report.maxprob_se:.17g}",
+        f"maxexp_ratio={report.maxexp_ratio:.17g}",
+        f"maxexp_se={report.maxexp_se:.17g}",
+        f"acceptance_rate={report.acceptance_rate:.17g}",
+    ]
+    # the thresholds command has no n to read the dump with
+    code, out, err = run_cli(capsys, "thresholds", "--threshold", f"file:{path}")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} is a maxexp-curve dump on the F(x)^n scale; only simulate reads it\n"
 
 
 def test_maxexp_curve_peak_point(capsys):
@@ -382,6 +397,8 @@ UNIT = priors.Uniform(0.0, 1.0)
         pytest.param(lambda: analytics.googol_win_formula([0.2, math.nan], DYNKIN), id="googol-formula-nan"),
         pytest.param(lambda: analytics.googol_win_formula([math.nan], DYNKIN), id="googol-formula-lone-nan"),
         pytest.param(lambda: engine.googol_win_mc([0.2, math.nan, 0.7], UNIT, DYNKIN, 1000, 1), id="googol-mc-nan"),
+        pytest.param(lambda: engine.googol_win_mc(0.5, UNIT, DYNKIN, 1000, 1), id="googol-mc-scalar"),
+        pytest.param(lambda: engine.googol_win_mc([[0.2, 0.7], [0.4, 0.9]], UNIT, DYNKIN, 1000, 1), id="googol-mc-2d"),
         pytest.param(lambda: priors.DiscretePrior([math.nan, 0.5, 0.5]), id="discrete-prior-nan"),
         pytest.param(lambda: UNIT.quantile(math.nan), id="uniform-quantile-nan"),
         pytest.param(lambda: priors.Exponential(1.0).quantile([0.5, math.nan]), id="exponential-quantile-nan"),
@@ -394,7 +411,6 @@ UNIT = priors.Uniform(0.0, 1.0)
         pytest.param(lambda: thresholds.gm_threshold(10, math.inf), id="gm-threshold-m-inf"),
         pytest.param(lambda: thresholds.gm_threshold(-math.inf, 300), id="gm-threshold-n-minus-inf"),
         pytest.param(lambda: thresholds.gm_threshold(10, math.nan), id="gm-threshold-m-nan"),
-        pytest.param(lambda: thresholds.gm_threshold_value(math.inf, 0.5), id="gm-threshold-value-inf"),
         pytest.param(lambda: thresholds.single_threshold(math.inf), id="single-threshold-inf"),
         pytest.param(lambda: maxexp.solve_steps(0.6, 0.01, math.inf), id="solve-steps-inf"),
         pytest.param(lambda: maxexp.tradeoff_curve_maxexp([0.1], math.inf), id="maxexp-curve-inf"),
@@ -423,7 +439,6 @@ COUNTS = [
     pytest.param(lambda c: priors.power_root_cdf(UNIT, c(3)), id="power-root-cdf"),
     pytest.param(lambda c: priors.DiscretePrior([0.25, 0.25, 0.5]).truncate(c(2)), id="truncate"),
     pytest.param(lambda c: thresholds.single_threshold(c(10)), id="single-threshold"),
-    pytest.param(lambda c: thresholds.gm_threshold_value(c(10), 0.4), id="gm-threshold-value"),
     pytest.param(lambda c: thresholds.gm_threshold(c(10), 300), id="gm-threshold-n"),
     pytest.param(lambda c: thresholds.gm_threshold(10, c(300)), id="gm-threshold-m"),
     pytest.param(lambda c: analytics.win_probability(DYNKIN, c(10)), id="win-probability"),

@@ -20,8 +20,8 @@ from stoppred.hardness import (
     acc_to_rej,
     build_polytope,
     delta_table,
-    export_lp,
     export_lp_body,
+    export_lp_objective,
     frontier_sweep,
     harmonic_prior,
     win_prob_by_truncation,
@@ -394,16 +394,16 @@ def test_read_solution_rejects_nan():
 
 def test_export_lp_objective_bytes():
     # zero terms are dropped (a -0.0 weight too); the rest are joined by " + "
-    assert hardness.export_lp_objective(0.0) == "Maximize\n obj: 1 beta\n"
-    assert hardness.export_lp_objective(-0.0) == "Maximize\n obj: 1 beta\n"
-    assert hardness.export_lp_objective(0.3) == "Maximize\n obj: 0.29999999999999999 alpha + 0.69999999999999996 beta\n"
-    assert hardness.export_lp_objective(1.0) == "Maximize\n obj: 1 alpha\n"
+    assert export_lp_objective(0.0) == "Maximize\n obj: 1 beta\n"
+    assert export_lp_objective(-0.0) == "Maximize\n obj: 1 beta\n"
+    assert export_lp_objective(0.3) == "Maximize\n obj: 0.29999999999999999 alpha + 0.69999999999999996 beta\n"
+    assert export_lp_objective(1.0) == "Maximize\n obj: 1 alpha\n"
 
 
 def test_export_parse_roundtrip():
     for n, K in [(2, 2), (3, 2)]:
         model = build_polytope(n, K, harmonic_prior(K))
-        parsed = parse_lp(export_lp(model, 0.3))
+        parsed = parse_lp(export_lp_objective(0.3) + export_lp_body(model))
         assert parsed["objective"] == {"alpha": 0.3, "beta": 0.7}
         matrix = dense(model.a)
         name_to_col = {name: j for j, name in enumerate(model.col_names)}
@@ -422,7 +422,7 @@ def test_export_parse_roundtrip():
 
 
 def test_export_small_model_is_compact():
-    text = export_lp(build_polytope(1, 1, harmonic_prior(1)), 0.5)
+    text = export_lp_objective(0.5) + export_lp_body(build_polytope(1, 1, harmonic_prior(1)))
     assert text.splitlines()[0] == "Maximize"
     assert text.splitlines()[-1] == "End"
     assert len(text.splitlines()) <= 16
@@ -616,14 +616,14 @@ def test_csr_matches_scipy(n, weights, data):
     assert np.all(np.abs(a @ x - ref @ x) <= bound)
 
 
-# sha256 of export_lp on an irregular instance, recorded from the loop
+# sha256 of the LP text (objective and body) on an irregular instance, recorded from the loop
 # formatter: a mass of 1e-290 gives all-zero rows ("0 y_1_3") and -0 entries
 EXPORT_GOLDEN = "1d700fbc1daf15f9314b838b1533acf3ae2ee72820f0fb3124db458686e9a2c3"
 
 
 def test_export_golden():
     w = np.array([5.0, 2.0, 1e-290, 2.5, 0.5, 3.0])
-    text = export_lp(build_polytope(4, 6, w / w.sum()), 0.3)
+    text = export_lp_objective(0.3) + export_lp_body(build_polytope(4, 6, w / w.sum()))
     assert " slo_2_3: 0 y_1_3 <= 0\n" in text
     assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_GOLDEN
 
@@ -677,8 +677,7 @@ def test_lambda_is_checked_where_it_is_used():
     for lam in (1.5, -0.1, float("nan")):
         for use in (
             lambda: Lp(model).solve(lam),
-            lambda: export_lp(model, lam),
-            lambda: hardness.export_lp_objective(lam),
+            lambda: export_lp_objective(lam),
             lambda: frontier_sweep(2, 3, harmonic_prior(3), [0.5, lam]),
         ):
             with pytest.raises(ValueError, match="lambda weight"):

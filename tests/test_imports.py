@@ -185,3 +185,39 @@ def test_counts_are_checked_in_one_place():
     hits = {p.stem: len(check.findall(p.read_text())) for p in PACKAGE.glob("*.py")}
     assert {module: n for module, n in hits.items() if n} == {"priors": 1}
     assert len(check.findall(inspect.getsource(priors._count))) == 1
+
+
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+# public names that wait for a command caller, each with the open item that gives it one
+UNCALLED = {
+    "accepted_value_samples": "ROADMAP item 12: verify oracle's expectation checks",
+    "acc_to_rej": "ROADMAP item 4: the achievable (alpha, beta) of the LP's own rule",
+}
+
+
+def _referenced(path):
+    """Every name the code at path refers to: Name ids, Attribute attrs and ImportFrom aliases.
+
+    Strings do not count, so a name that only a tracer patches by its text
+    is not referenced.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found |= {alias.name for alias in node.names}
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that neither the package's own modules nor the benchmark
+    # harness uses is only kept alive by its tests.  The package __init__
+    # re-exports the modules' names (and lists the modules), so it neither
+    # adds names nor refers to them
+    modules = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    referenced = set().union(*map(_referenced, modules + list(PERFBENCH.glob("*.py"))))
+    public = {name for p in modules for name in _top_level(p.stem)[0] or ()}
+    assert sorted(public - referenced) == sorted(UNCALLED)

@@ -11,6 +11,7 @@ from stoppred.priors import (
     E_INV,
     DiscretePrior,
     Exponential,
+    PowerRoot,
     Uniform,
     lambda_pair,
     power_root_cdf,
@@ -41,6 +42,20 @@ def test_discrete_cdf_far_outside_the_support():
     assert prior.cdf(-1e30) == 0.0
     assert prior.cdf(-math.inf) == 0.0
     assert prior.cdf(np.array([-math.inf, 1.5, 1e30, math.inf])).tolist() == [0.0, 0.5, 1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [Uniform(0, 1), Exponential(0.7), PowerRoot(Uniform(0, 1), 3), DiscretePrior([0.5, 0.3, 0.2])],
+    ids=["uniform", "exponential", "power-root", "discrete"],
+)
+def test_cdf_at_nan_is_nan(prior):
+    # a NaN value has no level; the discrete table lookup must not cast it to an index
+    cdfs = [prior.cdf] + ([prior.cdf_left] if isinstance(prior, DiscretePrior) else [])
+    for cdf in cdfs:
+        assert math.isnan(cdf(math.nan))
+        got = cdf(np.array([math.nan, 2.0]))
+        assert math.isnan(got[0]) and got[1] == cdf(2.0)
 
 
 @settings(max_examples=150, deadline=None)

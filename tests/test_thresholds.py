@@ -12,7 +12,6 @@ from stoppred.thresholds import (
     ThresholdFn,
     dynkin_threshold,
     gm_threshold,
-    gm_threshold_value,
     robustify,
     single_threshold,
     threshold_from_csv,
@@ -273,14 +272,14 @@ def _foc_series(theta, n, s):
 
 @pytest.mark.parametrize("n,s", [(2, 0.0), (5, 0.3), (10, 0.5), (50, 0.9), (200, 0.1)])
 def test_gm_value_satisfies_foc_series(n, s):
-    theta = gm_threshold_value(n, s)
+    theta = thresholds._gm_levels(n, s)
     assert abs(_foc_series(theta, n, s) - 1.0) <= 1e-9
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 10**4), st.floats(0.0, 1.0, exclude_max=True))
 def test_gm_value_satisfies_foc_series_everywhere(n, s):
-    theta = gm_threshold_value(n, s)
+    theta = thresholds._gm_levels(n, s)
     # at s = 0, x = 1/theta - 1 is about 0.8/(n-1), so rounding theta and
     # 1/theta alone moves the residual by up to about 1.5 (n-1) eps: at
     # n = 10^4 that is above 1e-12 for any double level
@@ -294,10 +293,6 @@ def test_gm_root_tends_to_series_constant(n):
     # (n-1) y_n falls to the constant c of the large-n threshold at rate 1/n
     gap = thresholds._gm_root(n) - solve_constant_c()
     assert 0.0 < gap * (n - 1) <= 0.2
-
-
-def test_gm_value_boundary():
-    assert gm_threshold_value(7, 1.0) == 0.0
 
 
 def test_gm_threshold_strictly_decreasing():
@@ -320,7 +315,7 @@ def _gm_asymptotic(s, n, c):
 
 def test_gm_asymptotic_matches_solver_at_large_n():
     c = solve_constant_c()
-    v = gm_threshold_value(1000, 0.5)
+    v = thresholds._gm_levels(1000, 0.5)
     assert abs(v - _gm_asymptotic(0.5, 1000, c)) <= 1e-4
 
 
@@ -328,7 +323,7 @@ def test_gm_asymptotic_error_vanishes_at_rate():
     c = solve_constant_c()
     errs = []
     for n in (100, 1000, 10000):
-        gap = abs(gm_threshold_value(n, 0.5) - _gm_asymptotic(0.5, n, c))
+        gap = abs(thresholds._gm_levels(n, 0.5) - _gm_asymptotic(0.5, n, c))
         errs.append(n * gap)
     assert errs[0] > errs[1] > errs[2]
 
