@@ -60,7 +60,9 @@ def parse_prior(spec):
 
 
 def parse_threshold(args):
+    """(theta, scale): scale is "theta^(1/n)" when a maxexp-curve dump was read at simulate's --n, else None."""
     kind, _, arg = args.threshold.partition(":")
+    scale = None
     try:
         if kind == "dynkin":
             theta = thresholds.dynkin_threshold(float(arg))
@@ -77,13 +79,14 @@ def parse_threshold(args):
                 if not hasattr(args, "n"):
                     raise CliError(f"{arg} is a maxexp-curve dump on the F(x)^n scale; only simulate reads it")
                 theta = thresholds.ThresholdFn(theta.breakpoints, theta.values ** (1.0 / _count(args.n, "n")))
+                scale = "theta^(1/n)"
         else:
             raise CliError(f"unknown threshold spec {kind!r}")
     except (ValueError, OSError) as exc:
         raise CliError(f"bad threshold spec {args.threshold!r}: {exc}") from exc
     if args.robustify is not None:
         theta = thresholds.robustify(theta, lambda_pair(args.robustify))
-    return theta
+    return theta, scale
 
 
 MAX_GRID_POINTS = 10**6  # the most points an 'a:b:step' grid or an --m grid may have
@@ -214,7 +217,7 @@ def cmd_maxprob_curve(args):
 def cmd_thresholds(args):
     _check_m(args.m)
     _check_out(args.out)
-    theta = parse_threshold(args)
+    theta, _ = parse_threshold(args)
     head = manifest_line(
         "thresholds", {"threshold": args.threshold, "m": args.m, "robustify": args.robustify}
     )
@@ -227,21 +230,21 @@ def cmd_simulate(args):
     _check_out(args.out)
     real = parse_prior(args.real)
     predicted = parse_prior(args.predicted)
-    theta = parse_threshold(args)
+    theta, scale = parse_threshold(args)
     report = engine.simulate(real, predicted, theta, args.n, args.trials, args.seed)
-    head = manifest_line(
-        "simulate",
-        {
-            "real": args.real,
-            "predicted": args.predicted,
-            "threshold": args.threshold,
-            "robustify": args.robustify,
-            "n": args.n,
-            "trials": args.trials,
-            "seed": args.seed,
-            "m": args.m,
-        },
-    )
+    params = {
+        "real": args.real,
+        "predicted": args.predicted,
+        "threshold": args.threshold,
+        "robustify": args.robustify,
+        "n": args.n,
+        "trials": args.trials,
+        "seed": args.seed,
+        "m": args.m,
+    }
+    if scale:  # the file alone does not say how it was read: its first line may be lost
+        params["threshold_scale"] = scale
+    head = manifest_line("simulate", params)
     body = [
         head,
         f"trials={report.trials}",

@@ -9,39 +9,40 @@ carve-out matters only when the predicted support lies above the realized
 values, pinning the cdf to exactly 0; full-support priors never tie the
 threshold.
 
-Every estimator applies that rule through one vectorized numpy scan,
-``scan_first_accept``, over batches of time-ordered rows.  The scan finds
-the best-so-far entries first and evaluates the predicted cdf and the
-threshold at those entries only: a row of n i.i.d. values holds H_n of
-them on average (5.9 of 200), so the per-entry work is one running
-maximum.  On a tall batch of short rows (4096 rows of 10 to 40 columns)
-``_running_max`` takes one np.maximum per column, which beats
-np.maximum.accumulate's per-row overhead, and ThresholdFn.eval looks the
-times up in a cell table that gives searchsorted's answer without sorting;
-both are exact, so the scan's results do not depend on either.  The literal
-per-value loop that the scan is tested against is ``run_bicriteria`` in
-tests/reference.py.
+Every estimator applies that rule through one acceptance test,
+``_accept``, over a record list: a batch's best-so-far entries in row-major
+order with each row's maximum, so the cdf and the threshold are evaluated
+at those entries only (a row of n i.i.d. values holds H_n of them on
+average, 5.9 of 200).  ``scan_first_accept`` finds the record list of a
+batch of time-ordered full rows with one running maximum.  On a tall batch
+of short rows (4096 rows of up to 48 columns) ``_running_max`` takes one
+np.maximum per column, which beats np.maximum.accumulate's per-row
+overhead, and ThresholdFn.eval looks the times up in a cell table that
+gives searchsorted's answer without sorting; both are exact, so the results
+do not depend on either.  The literal per-value loop that the scan is
+tested against is ``run_bicriteria`` in tests/reference.py.
 
-The rows come in two forms, each from a draw that returns (values, times)
-and scans nothing.  Full rows (``_full_rows``) hold all n values and their
-sorted arrival times.  Record rows (``_record_rows``) hold only the weak
-records (the values at least as large as everything before them), drawn
-directly as a Markov chain, so a trial costs O(H_n) instead of O(n).  For a
+The batches come from draws that scan nothing.  Full rows (``_full_rows``)
+hold all n values and their sorted arrival times.  The record draw
+(``_record_rows``) returns the record list itself: only the weak records
+(the values at least as large as everything before them), drawn directly
+as a Markov chain, so a trial costs O(H_n) instead of O(n).  For a
 continuous prior the chain runs in rank space: each record's rank among the
 values above the previous one is uniform, and its level comes from
 exponential spacings of uniform order statistics.  A discrete prior keeps a
 chain in quantile space with binomial counts, since a later value that ties
 the running maximum is again a weak record and ranks cannot express ties.
-``simulate`` and ``accepted_value_samples`` draw record rows from n =
-RECORD_ROWS_MIN_N on and full rows below it, where full rows are faster, and
-``_scan_rows`` scans each batch once; the scan returns the row maxima too.
-``simulate_coupled_sharding`` (which needs every shard value) draws full
-rows; ``googol_win_mc`` (fixed values) draws arrival orders only (``_shuffled_rows``).
+``simulate`` and ``accepted_value_samples`` draw record lists from n =
+RECORD_ROWS_MIN_N on and full rows below it, where full rows are faster,
+through ``_scan_rows``.  ``simulate_coupled_sharding`` (which needs every
+shard value) draws full rows; ``googol_win_mc`` (fixed values) draws
+arrival orders only (``_shuffled_rows``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,13 +50,13 @@ import numpy as np
 from .priors import _count, power_root_cdf
 
 _BATCH = 4096  # fixed so that a seed pins the whole random stream
-# simulate and accepted_value_samples draw record rows from this n on and
+# simulate and accepted_value_samples draw record lists from this n on and
 # full rows below it.  For 4e5 trials of a robustified gm threshold on
-# Uniform(0, 1) (2-CPU host, draw and scan) the two cost the same near
-# n = 20: record rows take 1.2x the time of full rows at n = 16, 1.0-1.05x
-# at 20, 0.8-0.95x at 24 and 0.6x at 32.  On a 64-atom DiscretePrior, whose
-# binomial chain is slower but whose full-row quantile is slower still,
-# record rows win from n = 12 on (0.84x).
+# Uniform(0, 1) (2-CPU host, draw and acceptance, best of 7, two runs)
+# record lists take 1.07-1.17x the time of full rows at n = 16, 0.80x at
+# 20, 0.62-0.71x at 24 and 0.47-0.70x at 32; on a 64-atom DiscretePrior
+# 1.13x at n = 8 and 0.71-0.90x at 12.  A lower cutoff would change the
+# streams that tests/test_stream.py pins for n < 20.
 RECORD_ROWS_MIN_N = 20
 # the record chains count values in int64 (rng.integers, rng.binomial)
 _MAX_N = np.iinfo(np.int64).max
@@ -79,7 +80,7 @@ __all__ = [
 def _running_max(values):
     """np.maximum.accumulate(values, axis=1), by columns where that is faster.
 
-    A batch of many short rows (4096 rows of 10 to 40 columns, record rows)
+    A batch of many short rows (4096 full rows below RECORD_ROWS_MIN_N)
     pays accumulate's per-row overhead, about 40 ns a row; one np.maximum
     per column costs about 0.7 us a column instead, so on 1024 to 4096 rows
     of 10 to 48 columns it takes 0.36-0.71x the time.  Its reads are
@@ -97,6 +98,30 @@ def _running_max(values):
     return running
 
 
+# A record list: a batch's records in row-major order (value x, arrival time
+# t, row, and column within the row, which counts a chain's records) and each
+# row's maximum; every row holds at least one record.
+_Records = namedtuple("_Records", "x t row col maximum")
+
+
+def _accept(records, predicted, theta):
+    """(pos, accepted_value, maximum) per row of a record list, as scan_first_accept returns them."""
+    x, t, row, col, maximum = records
+    level = theta.eval(t)
+    ok = np.flatnonzero((predicted.cdf(x) > level) | (level == 0.0))
+    row_ok = row[ok]
+    # records run row by row, so a row's first passing record is where the
+    # row index changes; each row is then written once
+    first = np.ones(len(ok), dtype=bool)
+    np.not_equal(row_ok[1:], row_ok[:-1], out=first[1:])
+    ok, row_ok = ok[first], row_ok[first]
+    pos = np.full(len(maximum), -1, dtype=np.int64)
+    acc = np.zeros(len(maximum))
+    pos[row_ok] = col[ok]
+    acc[row_ok] = x[ok]
+    return pos, acc, maximum
+
+
 def scan_first_accept(values, times, predicted, theta):
     """First accepted position per row of a time-ordered batch.
 
@@ -105,34 +130,22 @@ def scan_first_accept(values, times, predicted, theta):
     level clears the threshold: predicted.cdf(values[i, j]) >
     theta.eval(times[i, j]), or the threshold is 0 (the zero phase is
     prior-free; under a full-support prior the two readings coincide, but a
-    mispredicted support can pin the cdf to exactly 0).  The cdf and the
-    threshold are evaluated at the best-so-far entries only, about H_n of a
-    row of n i.i.d. values.  Returns (pos, accepted_value, maximum) per row,
+    mispredicted support can pin the cdf to exactly 0).  The best-so-far
+    entries, about H_n of a row of n i.i.d. values, form the record list
+    that _accept tests.  Returns (pos, accepted_value, maximum) per row,
     with pos = -1 and value 0.0 for rows that accept nothing and maximum the
     row's largest value.
     """
-    rows, n = values.shape
+    n = values.shape[1]
     # a value is at least its running maximum through itself exactly when it
     # is at least every earlier value; the scan starts from a maximum of 0
     running = _running_max(values)
     maximum = running[:, -1].copy()
     flat = np.flatnonzero(values >= np.maximum(running, 0.0, out=running))
     del running  # a rows x n array, not needed for the per-entry work
-    x = values.reshape(-1)[flat]
-    level = theta.eval(times.reshape(-1)[flat])
-    ok = (predicted.cdf(x) > level) | (level == 0.0)
-    flat, x = flat[ok], x[ok]
     row = flat // n
-    # flat indices run row by row, so a row's first passing entry is where
-    # the row index changes; only those need a column
-    first = np.ones(len(row), dtype=bool)
-    np.not_equal(row[1:], row[:-1], out=first[1:])
-    flat, row = flat[first], row[first]
-    pos = np.full(rows, -1, dtype=np.int64)
-    acc = np.zeros(rows)
-    pos[row] = flat - row * n
-    acc[row] = x[first]
-    return pos, acc, maximum
+    records = _Records(values.reshape(-1)[flat], times.reshape(-1)[flat], row, flat - row * n, maximum)
+    return _accept(records, predicted, theta)
 
 
 @dataclass(frozen=True)
@@ -172,23 +185,29 @@ def _full_rows(rng, b, n, real):
     return vals, times
 
 
-def _padded(b, records):
-    """(values, times) of b record rows from per-record (rows, values, log(1 - t)) columns.
+def _row_major(b, steps):
+    """A chain's per-step (rows, a, log(1 - t)) columns as (a, t, row, col, start) in row-major order.
 
-    Row i's records fill its first columns; the rest is padded with -1 at
-    time 1, which the scan's running maximum (started at 0) never takes for a
-    best-so-far value.
+    A row is live in steps 0, ..., count - 1, so its record from step k goes to start[row] + k.
     """
-    vals = np.full((b, len(records)), -1.0)
-    times = np.ones((b, len(records)))
-    for col, (rows, x, log_rest) in enumerate(records):
-        vals[rows, col] = x
-        times[rows, col] = -np.expm1(log_rest)
-    return vals, times
+    rows = np.concatenate([r for r, _, _ in steps])
+    count = np.bincount(rows, minlength=b)
+    start = np.zeros(b, dtype=np.int64)
+    np.cumsum(count[:-1], out=start[1:])
+    col = np.repeat(np.arange(len(steps)), [len(r) for r, _, _ in steps])
+    dest = np.add(start[rows], col, out=rows)  # each record's place, in rows' buffer
+    order = np.empty(len(dest), dtype=np.int64)
+    order[dest] = np.arange(len(dest))
+    del rows, dest
+    col = col[order]
+    a = np.concatenate([a for _, a, _ in steps])[order]
+    t = np.concatenate([lr for _, _, lr in steps])[order]
+    np.negative(np.expm1(t, out=t), out=t)
+    return a, t, np.repeat(np.arange(b), count), col, start
 
 
 def _record_rows(rng, b, n, real):
-    """b record rows: the weak records of n values, drawn as a chain.
+    """The record list of b rows: the weak records of n values, drawn as a chain.
 
     Only a best-so-far value can be accepted, so a row needs only its weak
     records, about H_n of its n values.  For a continuous prior the chain
@@ -206,8 +225,7 @@ def _record_rows(rng, b, n, real):
 
     A discrete prior keeps the chain of _tied_record_rows: a later value that
     ties the running maximum is again a weak record, and ranks among
-    distinct values cannot express that.  Returns (values, times), one
-    column per record.
+    distinct values cannot express that.  Returns the record list.
     """
     if real.kind != "continuous":
         return _tied_record_rows(rng, b, n, real)
@@ -217,11 +235,9 @@ def _record_rows(rng, b, n, real):
     log_rest = np.log1p(-rng.random(b)) / n
     above = rng.integers(0, n, size=b)
     spacing_sum = rng.standard_gamma(n - above)
-    records = []  # (rows, S, log(1 - t)) per record
-    last = np.empty(b)  # S_n once each row's chain ends at its maximum
+    steps = []  # (rows, S, log(1 - t)) per step
     while True:
-        records.append((rows, spacing_sum, log_rest))
-        last[rows] = spacing_sum
+        steps.append((rows, spacing_sum, log_rest))
         live = np.flatnonzero(above)
         if len(live) == 0:
             break
@@ -232,15 +248,17 @@ def _record_rows(rng, b, n, real):
         below = np.minimum((above * rng.random(len(rows))).astype(np.int64), above - 1)
         spacing_sum = spacing_sum[live] + rng.standard_gamma(above - below)
         above = below
-    total = last + rng.standard_exponential(b)
+    spacing_sum, t, row, col, start = _row_major(b, steps)
+    del steps  # the per-step columns, copied into the record list
+    # a row's last record is its maximum, with S_n spacings below it
+    total = spacing_sum[np.append(start[1:], len(row)) - 1] + rng.standard_exponential(b)
     # a level within an ulp of 1 rounds to 1, where an unbounded quantile is inf
-    return _padded(
-        b, [(r, real.quantile(np.minimum(s / total[r], _BELOW_ONE)), lr) for r, s, lr in records]
-    )
+    x = real.quantile(np.minimum(spacing_sum / total[row], _BELOW_ONE))
+    return _Records(x, t, row, col, np.maximum.reduceat(x, start))
 
 
 def _tied_record_rows(rng, b, n, real):
-    """b record rows of a discrete prior, drawn as a chain in quantile space.
+    """The record list of b rows of a discrete prior, drawn as a chain in quantile space.
 
     After a record at time t with left level l = F_real(x-), the cdf below x
     (so that a tie with x is again a record), the J later values at or above
@@ -258,9 +276,9 @@ def _tied_record_rows(rng, b, n, real):
     x = real.quantile(rng.random(b))
     level = real.cdf_left(x)
     later = rng.binomial(n - 1, 1.0 - level)
-    records = []  # (rows, x, log(1 - t)) per record
+    steps = []  # (rows, x, log(1 - t)) per step
     while True:
-        records.append((rows, x, log_rest))
+        steps.append((rows, x, log_rest))
         live = np.flatnonzero(later)
         if len(live) == 0:
             break
@@ -273,7 +291,8 @@ def _tied_record_rows(rng, b, n, real):
         above = real.cdf_left(x)
         later = rng.binomial(later - 1, (1.0 - above) / (1.0 - level))
         level = above
-    return _padded(b, records)
+    x, t, row, col, start = _row_major(b, steps)
+    return _Records(x, t, row, col, np.maximum.reduceat(x, start))
 
 
 def _shuffled_rows(rng, b, n, values):
@@ -284,10 +303,16 @@ def _shuffled_rows(rng, b, n, values):
 
 
 def _scan_rows(draw, source, predicted, theta, n, trials, seed):
-    """(pos, accepted, maximum) per batch of the rows draw(rng, b, n, source) returns (source: a prior or values)."""
+    """(pos, accepted, maximum) per batch of draw(rng, b, n, source): a record list, or full rows (values, times)."""
     rng = np.random.default_rng(seed)
     for b in _batches(trials):
-        yield scan_first_accept(*draw(rng, b, n, source), predicted, theta)
+        rows = draw(rng, b, n, source)
+        if isinstance(rows, _Records):
+            result = _accept(rows, predicted, theta)
+        else:
+            result = scan_first_accept(*rows, predicted, theta)
+        del rows  # not kept while the next batch is drawn
+        yield result
 
 
 def _check_support(real):
@@ -372,7 +397,9 @@ def googol_win_mc(values, predicted, theta, trials, seed):
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or len(values) == 0:
         raise ValueError("values must be a non-empty 1-d array")
-    if len(np.unique(values)) != len(values):
+    # np.unique would load numpy.ma; like it, this counts two NaNs (sorted last) as equal
+    ordered = np.sort(values)
+    if np.any(ordered[1:] == ordered[:-1]) or np.count_nonzero(np.isnan(ordered[-2:])) == 2:
         raise ValueError("values must be distinct")
     if not np.all(values >= 0.0):  # written so that a NaN fails it
         raise ValueError("values must be non-negative")

@@ -10,6 +10,8 @@ Each one is a second, independent route to a quantity the package computes
   that only the tests' references and rules use;
 * unclamped_threshold: a solved recursion's raw step values, for _LTable;
 * run_bicriteria: the literal per-value loop, against engine.scan_first_accept;
+* padded: a record list laid out as full rows, so that scan_first_accept
+  checks the engine's acceptance test on record lists;
 * rej_to_acc, rule_solution_vector and brute_force_win_prob: the inverse
   of hardness.acc_to_rej, a rule's point in the LP, and exhaustive
   enumeration, against the LP's win-probability rows;
@@ -115,6 +117,21 @@ def run_bicriteria(values, times, predicted, theta):
                 return int(i)
             prefix_max = x
     return None
+
+
+def padded(records):
+    """(values, times) of a record list's rows (engine._Records), one column per record.
+
+    Row i's records fill its first columns; the rest is padded with -1 at
+    time 1, which the scan's running maximum (started at 0) never takes for a
+    best-so-far value.
+    """
+    width = int(records.col.max()) + 1
+    values = np.full((len(records.maximum), width), -1.0)
+    times = np.ones((len(records.maximum), width))
+    values[records.row, records.col] = records.x
+    times[records.row, records.col] = records.t
+    return values, times
 
 
 def rej_to_acc(rej, pmf):

@@ -224,8 +224,9 @@ def test_dump_thresholds_writes_each_certified_threshold(tmp_path, capsys):
         assert threshold_from_csv(text) == maxexp.max_alpha_for_beta(beta, 10)[1].threshold()
     # the dumped levels are on the F(x)**n scale; simulate reads them at theta ** (1/n)
     path = dump / "theta_beta_0.300000.csv"
-    code, out, _ = run_cli(capsys, "simulate", "--real", "uniform:0,1", "--predicted", "uniform:0,1",
-                           "--threshold", f"file:{path}", "--n", "10", "--trials", "1000", "--seed", "0")
+    argv = ["simulate", "--real", "uniform:0,1", "--predicted", "uniform:0,1",
+            "--threshold", f"file:{path}", "--n", "10", "--trials", "1000", "--seed", "0"]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     report = engine.simulate(UNIT, UNIT, powered(threshold_from_csv(path.read_text()), 1 / 10), 10, 1000, 0)
     assert out.splitlines()[1:] == [
@@ -236,7 +237,15 @@ def test_dump_thresholds_writes_each_certified_threshold(tmp_path, capsys):
         f"maxexp_se={report.maxexp_se:.17g}",
         f"acceptance_rate={report.acceptance_rate:.17g}",
     ]
+    # without its first line the dump is read as it stands, and the manifest says which reading ran
+    assert out.splitlines()[0].endswith(" threshold_scale=theta^(1/n) trials=1000")
+    path.write_text(path.read_text().split("\n", 1)[1])
+    code, stripped, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert stripped.splitlines()[0] != out.splitlines()[0]
+    assert stripped.splitlines()[1:] != out.splitlines()[1:]
     # the thresholds command has no n to read the dump with
+    path = dump / "theta_beta_0.010000.csv"
     code, out, err = run_cli(capsys, "thresholds", "--threshold", f"file:{path}")
     assert (code, out) == (2, "")
     assert err == f"error: {path} is a maxexp-curve dump on the F(x)^n scale; only simulate reads it\n"

@@ -21,7 +21,7 @@ from stoppred.priors import (
 from stoppred.thresholds import ThresholdFn, dynkin_threshold, gm_threshold, robustify, single_threshold
 
 from conftest import random_step_threshold
-from reference import neg_lambda_log, run_bicriteria
+from reference import neg_lambda_log, padded, run_bicriteria
 
 UNIT = Uniform(0.0, 1.0)
 ONES = ThresholdFn([1.0], [1.0])
@@ -166,8 +166,10 @@ def test_googol_win_mc_threshold_one():
 
 
 def test_googol_win_mc_rejects_ties():
-    with pytest.raises(ValueError):
-        googol_win_mc(np.array([1.0, 1.0]), UNIT, ONES, 10, 20)
+    # two NaNs count as one value twice, as np.unique counts them
+    for values in ([1.0, 1.0], [0.5, 0.0, -0.0], [math.nan, 1.0, math.nan]):
+        with pytest.raises(ValueError, match="values must be distinct"):
+            googol_win_mc(np.array(values), UNIT, ONES, 10, 20)
 
 
 # Generated inputs for the scan: a few value levels (ties, zeros) mixed with
@@ -211,6 +213,47 @@ def test_scan_matches_literal_loop(rows, predicted, theta):
     pos, acc, _ = engine.scan_first_accept(values, times, predicted, theta)
     for i in range(len(values)):
         assert (pos[i], acc[i]) == _literal_accepted(values[i], times[i], predicted, theta)
+
+
+@st.composite
+def record_lists(draw):
+    """Record lists of 1 to 6 rows, each a non-decreasing run of 1 to 5 values (ties, zeros) at increasing times."""
+    x, t, row, col, maximum = [], [], [], [], []
+    value = st.one_of(st.sampled_from(LEVELS), st.floats(0.0, 1.0))
+    for i in range(draw(st.integers(1, 6))):
+        count = draw(st.integers(1, 5))
+        x += sorted(draw(st.lists(value, min_size=count, max_size=count)))
+        t += sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count, unique=True)))
+        row += [i] * count
+        col += range(count)
+        maximum.append(x[-1])
+    return engine._Records(*map(np.array, (x, t, row, col, maximum)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_lists(), st.sampled_from(PREDICTED), step_thresholds())
+def test_record_list_acceptance_matches_the_padded_scan(records, predicted, theta):
+    got = engine._accept(records, predicted, theta)
+    want = engine.scan_first_accept(*padded(records), predicted, theta)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "real", [UNIT, Exponential(1.0), DiscretePrior(np.full(64, 1 / 64))], ids=["uniform", "exp", "tied"]
+)
+def test_record_rows_are_row_major_record_lists(real):
+    # each row's records follow each other with columns 0, 1, ..., and the
+    # acceptance test gives what the scan gives on the padded rows
+    theta = robustify(gm_threshold(200, 300), lambda_pair(1.0 / 3.0))
+    records = engine._record_rows(np.random.default_rng(50), 4096, 200, real)
+    start = np.flatnonzero(records.col == 0)
+    assert np.array_equal(records.row[start], np.arange(4096))
+    assert np.array_equal(records.col, np.arange(len(records.col)) - start[records.row])
+    values, times = padded(records)
+    assert np.array_equal(records.maximum, values.max(axis=1))
+    got = engine._accept(records, UNIT, theta)
+    want = engine.scan_first_accept(values, times, UNIT, theta)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @settings(max_examples=200, deadline=None)
@@ -354,10 +397,10 @@ def test_record_rows_keep_levels_below_one():
     # at n = 1e16 the record levels come within an ulp of 1, where
     # l + (1 - l) r rounds to 1 and Exponential's quantile would be inf
     real = _SpyExponential(1.0)
-    vals, times = engine._record_rows(np.random.default_rng(45), 4096, 10**16, real)
-    pos, _, _ = engine.scan_first_accept(vals, times, UNIT, ONES)
+    records = engine._record_rows(np.random.default_rng(45), 4096, 10**16, real)
+    pos, _, _ = engine._accept(records, UNIT, ONES)
     assert real.top < 1.0
-    assert np.all(np.isfinite(vals)) and np.all(pos == -1)
+    assert np.all(np.isfinite(records.x)) and np.all(pos == -1)
 
 
 # Laws of the rank-space chain of a continuous prior that a pinned stream
@@ -365,13 +408,13 @@ def test_record_rows_keep_levels_below_one():
 # maximum of mean n / (n + 1) and a first arrival at time Beta(1, n).
 @pytest.mark.parametrize("n, seed", [(32, 46), (200, 47), (10_000, 48)])
 def test_record_rows_follow_the_record_laws(n, seed):
-    vals, times = engine._record_rows(np.random.default_rng(seed), 20_000, n, UNIT)
-    count = (vals >= 0.0).sum(axis=1)
+    records = engine._record_rows(np.random.default_rng(seed), 20_000, n, UNIT)
+    count = np.bincount(records.row, minlength=20_000)
     harmonic = sum(1.0 / k for k in range(1, n + 1))
     assert abs(count.mean() - harmonic) <= 4.0 * count.std() / math.sqrt(len(count))
-    top = vals.max(axis=1)
+    top = records.maximum
     assert abs(top.mean() - n / (n + 1)) <= 4.0 * top.std() / math.sqrt(len(top))
-    assert stats.kstest(times[:, 0], "beta", args=(1, n)).pvalue > 1e-3
+    assert stats.kstest(records.t[records.col == 0], "beta", args=(1, n)).pvalue > 1e-3
 
 
 class _SpyGenerator:
@@ -394,11 +437,11 @@ def test_rank_chain_steps_down_at_huge_n():
     # step lowers J, and a row's shapes sum to n
     n, b = 2**62, 1024
     rng, real = _SpyGenerator(49), _SpyExponential(1.0)
-    vals, _ = engine._record_rows(rng, b, n, real)
+    records = engine._record_rows(rng, b, n, real)
     shapes = np.concatenate(rng.shapes)
     assert shapes.min() >= 1
     assert sum(map(int, shapes)) == b * n
-    assert real.top < 1.0 and np.all(np.isfinite(vals))
+    assert real.top < 1.0 and np.all(np.isfinite(records.x))
 
 
 def test_estimators_reject_n_beyond_int64():

@@ -62,6 +62,18 @@ def test_non_lp_commands_leave_out_the_lp_stack(tmp_path):
     assert _loaded_after(f"import stoppred.cli\n{run}") == []
 
 
+def test_oracle_and_simulate_leave_out_numpy_ma(tmp_path):
+    # np.unique loads numpy.ma on its first call (about 13 ms); nothing on
+    # these paths needs it
+    commands = [
+        ["verify", "oracle"],
+        ["simulate", "--real", "uniform:0,1", "--predicted", "uniform:0,1", "--threshold", "gm:200",
+         "--robustify", "0.3333", "--n", "200", "--trials", "5000", "--out", str(tmp_path / "out")],
+    ]
+    run = "\n".join(f"assert stoppred.cli.main({argv!r}) == 0" for argv in commands)
+    assert _run(f"import json, sys\nimport stoppred.cli\n{run}\nprint(json.dumps('numpy.ma' in sys.modules))") is False
+
+
 def test_hardness_frontier_loads_the_lp_stack(tmp_path):
     argv = ["hardness-frontier", "--n", "2", "--k-support", "3", "--lambda-grid", "0,1", "--out", str(tmp_path / "f")]
     loaded = _loaded_after(f"import stoppred.cli\nassert stoppred.cli.main({argv!r}) == 0")
