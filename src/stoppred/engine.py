@@ -26,7 +26,10 @@ The batches come from draws that scan nothing.  Full rows (``_full_rows``)
 hold all n values and their sorted arrival times.  The record draw
 (``_record_rows``) returns the record list itself: only the weak records
 (the values at least as large as everything before them), drawn directly
-as a Markov chain, so a trial costs O(H_n) instead of O(n).  For a
+as a Markov chain, so a trial costs O(H_n) instead of O(n).  The chain
+steps through the rows still live, and ``_row_major`` writes each step's
+column straight into its place in the record list; records never fall
+along a row, so each row's maximum is its last record.  For a
 continuous prior the chain runs in rank space: each record's rank among the
 values above the previous one is uniform, and its level comes from
 exponential spacings of uniform order statistics.  A discrete prior keeps a
@@ -52,11 +55,13 @@ from .priors import _count, power_root_cdf
 _BATCH = 4096  # fixed so that a seed pins the whole random stream
 # simulate and accepted_value_samples draw record lists from this n on and
 # full rows below it.  For 4e5 trials of a robustified gm threshold on
-# Uniform(0, 1) (2-CPU host, draw and acceptance, best of 7, two runs)
-# record lists take 1.07-1.17x the time of full rows at n = 16, 0.80x at
-# 20, 0.62-0.71x at 24 and 0.47-0.70x at 32; on a 64-atom DiscretePrior
-# 1.13x at n = 8 and 0.71-0.90x at 12.  A lower cutoff would change the
-# streams that tests/test_stream.py pins for n < 20.
+# Uniform(0, 1) (2-CPU host, draw and acceptance, best of 7, two runs, with
+# the heap policy of cli._keep_heap_mapped, which spares full rows most of
+# their page faults) record lists take 0.74-1.15x the time of full rows at
+# n = 16, 1.06x at 20, 0.91-0.96x at 24 and 0.53-0.66x at 32; on a 64-atom
+# DiscretePrior 1.04-1.06x at n = 8 and 0.78-0.82x at 12.  The break-even
+# lies near 20-24; another cutoff would change the streams that
+# tests/test_stream.py pins.
 RECORD_ROWS_MIN_N = 20
 # the record chains count values in int64 (rng.integers, rng.binomial)
 _MAX_N = np.iinfo(np.int64).max
@@ -186,24 +191,31 @@ def _full_rows(rng, b, n, real):
 
 
 def _row_major(b, steps):
-    """A chain's per-step (rows, a, log(1 - t)) columns as (a, t, row, col, start) in row-major order.
+    """A chain's per-step (rows, a, log(1 - t)) columns as (a, t, row, col, last) in row-major order.
 
-    A row is live in steps 0, ..., count - 1, so its record from step k goes to start[row] + k.
+    The live sets are nested, so a row is live in steps 0, ..., count - 1:
+    the counts come from the live sets alone, and a row's record from step k
+    goes to start[row] + k.  Each step's columns are written straight into
+    place and then dropped from steps, which ends empty, so the batch is
+    never held twice.  last[row] is the place of the row's last record.
     """
-    rows = np.concatenate([r for r, _, _ in steps])
-    count = np.bincount(rows, minlength=b)
-    start = np.zeros(b, dtype=np.int64)
-    np.cumsum(count[:-1], out=start[1:])
-    col = np.repeat(np.arange(len(steps)), [len(r) for r, _, _ in steps])
-    dest = np.add(start[rows], col, out=rows)  # each record's place, in rows' buffer
-    order = np.empty(len(dest), dtype=np.int64)
-    order[dest] = np.arange(len(dest))
-    del rows, dest
-    col = col[order]
-    a = np.concatenate([a for _, a, _ in steps])[order]
-    t = np.concatenate([lr for _, _, lr in steps])[order]
+    count = np.empty(b, dtype=np.int64)  # every row is live in step 0
+    for k, (rows, _, _) in enumerate(steps):
+        count[rows] = k + 1
+    end = np.cumsum(count)
+    start = end - count
+    a, t = np.empty(end[-1]), np.empty(end[-1])
+    col = np.empty(end[-1], dtype=np.int64)
+    while steps:
+        k = len(steps) - 1
+        rows, a_k, log_rest = steps.pop()
+        dest = start[rows]
+        dest += k
+        a[dest] = a_k
+        t[dest] = log_rest
+        col[dest] = k
     np.negative(np.expm1(t, out=t), out=t)
-    return a, t, np.repeat(np.arange(b), count), col, start
+    return a, t, np.repeat(np.arange(b), count), col, end - 1
 
 
 def _record_rows(rng, b, n, real):
@@ -225,7 +237,10 @@ def _record_rows(rng, b, n, real):
 
     A discrete prior keeps the chain of _tied_record_rows: a later value that
     ties the running maximum is again a weak record, and ranks among
-    distinct values cannot express that.  Returns the record list.
+    distinct values cannot express that.  Returns the record list, written
+    in place from the chain's steps by _row_major; the levels never fall
+    along a row and quantile is monotone, so each row's maximum is its last
+    record.
     """
     if real.kind != "continuous":
         return _tied_record_rows(rng, b, n, real)
@@ -248,13 +263,12 @@ def _record_rows(rng, b, n, real):
         below = np.minimum((above * rng.random(len(rows))).astype(np.int64), above - 1)
         spacing_sum = spacing_sum[live] + rng.standard_gamma(above - below)
         above = below
-    spacing_sum, t, row, col, start = _row_major(b, steps)
-    del steps  # the per-step columns, copied into the record list
+    spacing_sum, t, row, col, last = _row_major(b, steps)
     # a row's last record is its maximum, with S_n spacings below it
-    total = spacing_sum[np.append(start[1:], len(row)) - 1] + rng.standard_exponential(b)
+    total = spacing_sum[last] + rng.standard_exponential(b)
     # a level within an ulp of 1 rounds to 1, where an unbounded quantile is inf
     x = real.quantile(np.minimum(spacing_sum / total[row], _BELOW_ONE))
-    return _Records(x, t, row, col, np.maximum.reduceat(x, start))
+    return _Records(x, t, row, col, x[last])
 
 
 def _tied_record_rows(rng, b, n, real):
@@ -269,7 +283,8 @@ def _tied_record_rows(rng, b, n, real):
         J' ~ Bin(J - 1, (1 - l') / (1 - l)),
 
     from t ~ Beta(1, n), u ~ U(0, 1), J ~ Bin(n - 1, 1 - l), and stops at
-    J = 0, so the last record is the row maximum.
+    J = 0.  Each record is at least the one before it, so the last record is
+    the row maximum.
     """
     rows = np.arange(b)
     log_rest = np.log1p(-rng.random(b)) / n
@@ -291,8 +306,8 @@ def _tied_record_rows(rng, b, n, real):
         above = real.cdf_left(x)
         later = rng.binomial(later - 1, (1.0 - above) / (1.0 - level))
         level = above
-    x, t, row, col, start = _row_major(b, steps)
-    return _Records(x, t, row, col, np.maximum.reduceat(x, start))
+    x, t, row, col, last = _row_major(b, steps)
+    return _Records(x, t, row, col, x[last])
 
 
 def _shuffled_rows(rng, b, n, values):
@@ -359,9 +374,17 @@ def _sim_report(batches, trials):
     wins = 0
     accepts = 0
     s_a = s_aa = s_m = s_mm = s_am = 0.0
+    scale = None
     for pos, acc, mx in batches:
         wins += int(np.count_nonzero((pos >= 0) & (acc == mx)))
         accepts += int(np.count_nonzero(pos >= 0))
+        if scale is None:
+            # the moments are taken of acc / scale and mx / scale, so that
+            # their squares neither overflow nor underflow on a prior far
+            # from unit scale; a power of two scales exactly, and the ratio
+            # and its standard error are scale-free
+            scale = math.ldexp(0.5, math.frexp(float(mx.max()))[1])
+        acc, mx = acc / scale, mx / scale
         s_a += acc.sum()
         s_aa += (acc * acc).sum()
         s_m += mx.sum()

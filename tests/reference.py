@@ -12,6 +12,9 @@ Each one is a second, independent route to a quantity the package computes
 * run_bicriteria: the literal per-value loop, against engine.scan_first_accept;
 * padded: a record list laid out as full rows, so that scan_first_accept
   checks the engine's acceptance test on record lists;
+* row_major: a chain's per-step columns put in row-major order by
+  concatenation and one permutation, against engine._row_major, which
+  writes each step in place;
 * rej_to_acc, rule_solution_vector and brute_force_win_prob: the inverse
   of hardness.acc_to_rej, a rule's point in the LP, and exhaustive
   enumeration, against the LP's win-probability rows;
@@ -132,6 +135,24 @@ def padded(records):
     values[records.row, records.col] = records.x
     times[records.row, records.col] = records.t
     return values, times
+
+
+def row_major(b, steps):
+    """engine._row_major's (a, t, row, col, last) by concatenating the steps and permuting them.
+
+    steps holds (rows, a, log(1 - t)) per step, with nested live sets that
+    all hold row 0, ..., b - 1 in step 0; it is left as it is.
+    """
+    rows = np.concatenate([r for r, _, _ in steps])
+    count = np.bincount(rows, minlength=b)
+    start = np.zeros(b, dtype=np.int64)
+    np.cumsum(count[:-1], out=start[1:])
+    col = np.repeat(np.arange(len(steps)), [len(r) for r, _, _ in steps])
+    order = np.empty(len(rows), dtype=np.int64)
+    order[start[rows] + col] = np.arange(len(rows))
+    a = np.concatenate([a for _, a, _ in steps])[order]
+    t = -np.expm1(np.concatenate([lr for _, _, lr in steps])[order])
+    return a, t, np.repeat(np.arange(b), count), col[order], start + count - 1
 
 
 def rej_to_acc(rej, pmf):

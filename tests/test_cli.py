@@ -1,5 +1,9 @@
+import ctypes
 import math
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -91,6 +95,59 @@ def test_simulate_adversarial_prior(capsys):
     assert code == 0
     fields = dict(line.split("=") for line in out.strip().splitlines()[1:])
     assert float(fields["maxprob"]) == 0.0  # sampled levels never clear the threshold
+
+
+@pytest.mark.parametrize("real", ["uniform:0,1e300", "exp:1e300", "uniform:0,1e-320"])
+def test_simulate_reports_a_finite_se_far_from_unit_scale(capsys, real):
+    # values near 1e300 or 1e-300 (1e-320 is subnormal) overflow or underflow
+    # when squared, which made maxexp_se nan with a RuntimeWarning
+    code, out, _ = run_cli(capsys, "simulate", "--real", real, "--predicted", "uniform:0,1",
+                           "--threshold", "dynkin:0.3", "--n", "30", "--trials", "5000")
+    assert code == 0
+    fields = dict(line.split("=") for line in out.strip().splitlines()[1:])
+    assert 0.0 < float(fields["maxexp_se"]) < math.inf
+
+
+SIMULATE_200 = ["simulate", "--real", "uniform:0,1", "--predicted", "uniform:0,1", "--threshold", "gm:200",
+                "--robustify", "0.3333", "--n", "200", "--seed", "7"]
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+def test_heap_policy_is_skipped_without_mallopt(tmp_path, monkeypatch):
+    argv = SIMULATE_200 + ["--trials", "5000"]
+    outs = [tmp_path / "mallopt.txt", tmp_path / "none.txt"]
+    assert cli.main(argv + ["--out", str(outs[0])]) == 0
+    opened = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: opened.append(name) or object())
+    assert cli.main(argv + ["--out", str(outs[1])]) == 0
+    assert opened == [None]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_simulate_keeps_its_heap_mapped(tmp_path):
+    # the CLI keeps freed heap pages mapped, so once one command has grown
+    # the heap, the next one's 4096-row batches fault in almost no pages
+    # (about 15k minor faults under glibc's default thresholds)
+    argv = SIMULATE_200 + ["--trials", "200000", "--out", str(tmp_path / "out")]
+    code = (
+        "import resource, stoppred.cli\n"
+        f"assert stoppred.cli.main({argv!r}) == 0\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        f"assert stoppred.cli.main({argv!r}) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000
 
 
 def test_hardness_frontier_embedded(capsys):

@@ -21,7 +21,7 @@ from stoppred.priors import (
 from stoppred.thresholds import ThresholdFn, dynkin_threshold, gm_threshold, robustify, single_threshold
 
 from conftest import random_step_threshold
-from reference import neg_lambda_log, padded, run_bicriteria
+from reference import neg_lambda_log, padded, row_major, run_bicriteria
 
 UNIT = Uniform(0.0, 1.0)
 ONES = ThresholdFn([1.0], [1.0])
@@ -254,6 +254,58 @@ def test_record_rows_are_row_major_record_lists(real):
     got = engine._accept(records, UNIT, theta)
     want = engine.scan_first_accept(values, times, UNIT, theta)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@st.composite
+def chain_steps(draw):
+    """(b, steps): a chain's per-step (rows, a, log(1 - t)) columns over nested live sets.
+
+    Every row is live in step 0; each later step keeps a subset of the
+    rows live before it, so some rows are live for one step only.
+    """
+    b = draw(st.integers(1, 6))
+    rows, steps = np.arange(b), []
+    while len(rows):
+        a = draw(st.lists(st.floats(0.0, 1e3), min_size=len(rows), max_size=len(rows)))
+        log_rest = draw(st.lists(st.floats(-50.0, 0.0), min_size=len(rows), max_size=len(rows)))
+        steps.append((rows, np.array(a), np.array(log_rest)))
+        rows = rows[np.array(draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))), dtype=bool)]
+    return b, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_steps())
+def test_row_major_writes_the_concatenated_order_in_place(case):
+    b, steps = case
+    want = row_major(b, steps)
+    got = engine._row_major(b, list(steps))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize(
+    "real, n",
+    [(UNIT, 200), (Exponential(1.0), 10**16), (DiscretePrior(np.full(64, 1 / 64)), 1000)],
+    ids=["rank-200", "rank-1e16", "tied-1000"],
+)
+def test_row_maximum_is_the_last_record(real, n):
+    # records never fall along a row, so the last one is the maximum that
+    # np.maximum.reduceat takes over the row; the 64-atom chain has ties
+    records = engine._record_rows(np.random.default_rng(51), 4096, n, real)
+    start = np.flatnonzero(records.col == 0)
+    assert np.array_equal(records.maximum, np.maximum.reduceat(records.x, start))
+
+
+@pytest.mark.parametrize("make", [lambda c: Uniform(0.0, c), lambda c: Exponential(1.0 / c)], ids=["uniform", "exp"])
+@pytest.mark.parametrize("exponent", [1000, -1000])
+def test_report_is_scale_free(make, exponent):
+    # values 2**exponent times the unit ones give the same decisions and,
+    # since the moments are taken near unit scale, the same report; taken
+    # as they are, the squares overflow or underflow and maxexp_se is nan
+    theta = dynkin_threshold(0.3)
+    scaled = 2.0**exponent
+    unit = simulate(make(1.0), make(1.0), theta, 30, 10_000, 52)
+    assert simulate(make(scaled), make(scaled), theta, 30, 10_000, 52) == unit
+    assert math.isfinite(unit.maxexp_se) and unit.maxexp_se > 0.0
 
 
 @settings(max_examples=200, deadline=None)
