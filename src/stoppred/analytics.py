@@ -7,10 +7,9 @@ Over the arrival time the integrands are polynomials in t, some divided by
 t (win_probability), or v**t and v**t / t, whose integrals have closed forms
 (quadrature.pow_integral and the exponential integral of
 quadrature.log_time_integral).  maxprob_alpha's double integral is a closed
-form in E1 as well, so nothing here calls a quadrature rule.  The
-expectation objective's consistency integral L(z) has one evaluator,
-_LTable, which sums the same per-piece term (quadrature._piece_tail) as
-the maxexp recursion.
+form in E1 as well.  The expectation objective's consistency integral
+L(z) has one evaluator, _LTable, which sums the same per-piece term
+(quadrature._piece_tail) as the maxexp recursion.
 
 These evaluators serve double duty: they generate the trade-off curves, and
 they act as oracles against the Monte Carlo engine (and vice versa).
@@ -23,10 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._expint import _series, e1
 from ._roots import brentq
 from .priors import _count, lambda_pair
-from .quadrature import _piece_tail, pow_integral
+from .quadrature import _e1, _piece_tail, _series, pow_integral
 
 __all__ = [
     "c_series",
@@ -44,7 +42,7 @@ def c_series(c):
     """sum_{k>=1} c**k / (k! k) for c in [0, 1].
 
     This is the series S(c) of the exponential integrals, which
-    _expint._series sums to 18 terms, exact to rounding for |c| <= 1.
+    quadrature._series sums to 18 terms, exact to rounding for |c| <= 1.
     """
     return _series(c)
 
@@ -64,8 +62,8 @@ def _maxprob_antiderivative(s, c):
     if s >= 1.0:
         return 0.0
     kappa = c / (1.0 - s)
-    head = s * e1(kappa * s) if s > 0.0 else 0.0
-    return head - (1.0 - s) * math.exp(-kappa) + (c + 1.0 - s - math.exp(c)) * e1(kappa)
+    head = s * _e1(kappa * s) if s > 0.0 else 0.0
+    return head - (1.0 - s) * math.exp(-kappa) + (c + 1.0 - s - math.exp(c)) * _e1(kappa)
 
 
 def maxprob_alpha(beta):
@@ -77,7 +75,7 @@ def maxprob_alpha(beta):
     The inner integral is E1(kappa s) - E1(kappa) with kappa = c/(1-s)
     (Abramowitz & Stegun 5.1.1), and the outer one has a closed form too
     (_maxprob_antiderivative), so alpha = beta + G(lambda2) - G(lambda1):
-    four exponential integrals, with no quadrature and no clipped limit.
+    four exponential integrals.
     """
     pair = lambda_pair(beta)
     if pair.lambda1 == pair.lambda2:  # the roots coincide at the peak, so the band is empty
@@ -96,7 +94,7 @@ def googol_win_formula(qvals, theta):
             + sum_i (1-t)^(n-1-i) int_0^t 1{q_i <= theta(s)} ds) dt,
 
     which is piecewise polynomial for a step threshold, so all integrals
-    below are closed-form (no quadrature error).
+    below are closed-form.
     """
     q = np.asarray(qvals, dtype=float)
     if q.ndim != 1 or len(q) == 0:

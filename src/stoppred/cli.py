@@ -63,8 +63,8 @@ def parse_prior(spec):
     raise CliError(f"unknown prior family {kind!r}")
 
 
-def parse_threshold(args):
-    """(theta, scale): scale is "theta^(1/n)" when a maxexp-curve dump was read at simulate's --n, else None."""
+def parse_threshold(args, n):
+    """(theta, scale) at simulate's n, or at None, which refuses a dump; scale is "theta^(1/n)" for a dump."""
     kind, _, arg = args.threshold.partition(":")
     scale = None
     try:
@@ -80,9 +80,9 @@ def parse_threshold(args):
             theta = thresholds.threshold_from_csv(text)
             # a maxexp-curve dump's levels are on the F(x)**n scale, which needs simulate's --n
             if text.startswith("# command=maxexp-curve "):
-                if not hasattr(args, "n"):
+                if n is None:
                     raise CliError(f"{arg} is a maxexp-curve dump on the F(x)^n scale; only simulate reads it")
-                theta = thresholds.ThresholdFn(theta.breakpoints, theta.values ** (1.0 / _count(args.n, "n")))
+                theta = thresholds.ThresholdFn(theta.breakpoints, theta.values ** (1.0 / _count(n, "n")))
                 scale = "theta^(1/n)"
         else:
             raise CliError(f"unknown threshold spec {kind!r}")
@@ -221,7 +221,7 @@ def cmd_maxprob_curve(args):
 def cmd_thresholds(args):
     _check_m(args.m)
     _check_out(args.out)
-    theta, _ = parse_threshold(args)
+    theta, _ = parse_threshold(args, None)
     head = manifest_line(
         "thresholds", {"threshold": args.threshold, "m": args.m, "robustify": args.robustify}
     )
@@ -234,7 +234,7 @@ def cmd_simulate(args):
     _check_out(args.out)
     real = parse_prior(args.real)
     predicted = parse_prior(args.predicted)
-    theta, scale = parse_threshold(args)
+    theta, scale = parse_threshold(args, args.n)
     report = engine.simulate(real, predicted, theta, args.n, args.trials, args.seed)
     params = {
         "real": args.real,

@@ -110,7 +110,12 @@ _Records = namedtuple("_Records", "x t row col maximum")
 
 
 def _accept(records, predicted, theta):
-    """(pos, accepted_value, maximum) per row of a record list, as scan_first_accept returns them."""
+    """(pos, accepted_value, maximum) per row of a record list, as scan_first_accept returns them.
+
+    pos is the accepted record's col, -1 where none: a position among the n
+    values in full rows, but an index in the row's chain for a drawn record
+    list.  The callers only test pos >= 0.
+    """
     x, t, row, col, maximum = records
     level = theta.eval(t)
     ok = np.flatnonzero((predicted.cdf(x) > level) | (level == 0.0))
@@ -318,7 +323,7 @@ def _shuffled_rows(rng, b, n, values):
 
 
 def _scan_rows(draw, source, predicted, theta, n, trials, seed):
-    """(pos, accepted, maximum) per batch of draw(rng, b, n, source): a record list, or full rows (values, times)."""
+    """_accept's (pos, accepted, maximum) per batch of draw(rng, b, n, source): a record list or full rows."""
     rng = np.random.default_rng(seed)
     for b in _batches(trials):
         rows = draw(rng, b, n, source)
@@ -331,9 +336,9 @@ def _scan_rows(draw, source, predicted, theta, n, trials, seed):
 
 
 def _check_support(real):
-    # the scan starts its running maximum at 0, so a negative value would
-    # never count as best-so-far and every estimate would read 0
-    if real.quantile(0.0) < 0.0:
+    # the scan starts its running maximum at 0, so a negative value (or NaN)
+    # would never count as best-so-far and every estimate would read 0
+    if not real.quantile(0.0) >= 0.0:
         raise ValueError("real prior must be supported on [0, inf)")
 
 

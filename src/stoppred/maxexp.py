@@ -30,7 +30,7 @@ import numpy as np
 from ._roots import brentq
 from .priors import E_INV, LambdaPair, _count, lambda_pair
 from .quadrature import _piece_tail, log_time_integral
-from .thresholds import _MONO_TOL, ThresholdFn, robustify
+from .thresholds import ThresholdFn, robustify
 
 __all__ = ["StepSolution", "solve_steps", "max_alpha_for_beta", "tradeoff_curve_maxexp", "CurvePoint"]
 
@@ -128,7 +128,7 @@ def solve_steps(alpha, beta, m):
         if i > 0:
             # tail term of piece (z_i, z_{i+1}] for the next steps
             tail += _piece_tail(theta, z[i], z[i + 1])[0]
-    if np.any(np.diff(thetas) > _MONO_TOL):  # the rise ThresholdFn accepts
+    if not np.all(np.diff(thetas) <= 0.0):  # written so that a NaN fails it, as in ThresholdFn
         raise ArithmeticError("step values failed to come out non-increasing")
     return StepSolution(
         beta=float(beta),

@@ -83,10 +83,9 @@ class Uniform(Prior):
     """Uniform distribution on [a, b]."""
 
     def __init__(self, a, b):
-        if not (-math.inf < a < b < math.inf):
-            raise ValueError("need finite a < b")
-        self.a = float(a)
-        self.b = float(b)
+        self.a, self.b = float(a), float(b)
+        if not (-math.inf < self.a < self.b < math.inf and self.b - self.a < math.inf):
+            raise ValueError("need finite a < b with a finite b - a")
 
     def __repr__(self):
         return f"Uniform({self.a}, {self.b})"
@@ -105,9 +104,10 @@ class Exponential(Prior):
     """Exponential distribution with the given rate; support [0, inf)."""
 
     def __init__(self, rate):
-        if not (0.0 < rate < math.inf):
-            raise ValueError("need a finite rate > 0")
         self.rate = float(rate)
+        # the largest draw is the quantile of the level 1 - 2**-53, 53 ln 2 / rate
+        if not (0.0 < self.rate < math.inf and 53.0 * math.log(2.0) / self.rate < math.inf):
+            raise ValueError("need a finite rate > 0 whose largest draw, 53 ln 2 / rate, is finite")
 
     def __repr__(self):
         return f"Exponential({self.rate})"

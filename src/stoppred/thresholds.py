@@ -32,7 +32,6 @@ __all__ = [
     "threshold_from_csv",
 ]
 
-_MONO_TOL = 1e-12
 # eval answers an array of at least this many times, all in [0, 1], from the
 # threshold's cell table (_cell_table); smaller ones go to searchsorted.  At
 # 12k times the table takes 0.07-0.4x searchsorted's time; at 1024 it takes
@@ -91,7 +90,7 @@ class ThresholdFn:
             raise ValueError("last breakpoint must be 1")
         if not bp[0] > 0.0:
             raise ValueError("breakpoints must be positive")
-        if np.any(np.diff(vals) > _MONO_TOL):
+        if not np.all(np.diff(vals) <= 0.0):
             raise ValueError("values must be non-increasing")
         if not np.all(vals >= 0.0):
             raise ValueError("values must be non-negative")

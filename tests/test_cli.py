@@ -439,10 +439,18 @@ SIM = ["simulate", "--real", "uniform:0,1", "--predicted", "uniform:0,1", "--thr
         SIM + ["--n", "10000000000000000000", "--trials", "10"],
         ["simulate", "--real", "harmonic:8", "--predicted", "harmonic:8", "--threshold", "dynkin:0.3",
          "--n", "10000000000000000000", "--trials", "10"],
+        # prior parameters whose draws overflow: the largest draw 53 ln 2 / rate, and b - a
+        ["simulate", "--real", "exp:1e-308", "--predicted", "exp:1", "--threshold", "dynkin:0.3",
+         "--n", "30", "--trials", "1000"],
+        ["simulate", "--real", "uniform:-1e308,1.7e308", "--predicted", "exp:1", "--threshold", "dynkin:0.3",
+         "--n", "30", "--trials", "10"],
+        # levels that rise by 1e-15
+        ["thresholds", "--threshold", "file:{tmp}/rise.csv"],
     ],
 )
 def test_library_domain_errors_are_usage_errors(capsys, tmp_path, argv):
     (tmp_path / "nan_level.csv").write_text("t,theta\n0.5,nan\n1,0\n")
+    (tmp_path / "rise.csv").write_text("t,theta\n0.5,0.5\n1,0.500000000000001\n")
     (tmp_path / "nan_break.csv").write_text("t,theta\nnan,1\n1,0\n")
     (tmp_path / "nan.pmf").write_text("nan\n0.5\n0.5\n")
     code, _, err = run_cli(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))

@@ -1,4 +1,4 @@
-"""stoppred._expint against mpmath, with scipy.special's own error as the bar."""
+"""E1 and Ei of stoppred.quadrature against mpmath, with scipy.special's own error as the bar."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import exp1, expi
 
-from stoppred._expint import _X0_HI, _X0_LO, e1, ei
+from stoppred.quadrature import _X0_HI, _X0_LO, _e1 as e1, _ei as ei
 
 EPS = 2.0**-52
 TINY = 5e-324  # the smallest subnormal

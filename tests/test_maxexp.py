@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stoppred import maxexp
 from stoppred.analytics import _LTable, check_consistency_conditions
@@ -54,6 +56,21 @@ def test_a_rise_the_threshold_rejects_fails_the_solve(monkeypatch):
     monkeypatch.setattr(maxexp, "_piece_equation", rising)
     with pytest.raises(ArithmeticError, match="non-increasing"):
         solve_steps(0.62, 0.15, 60)
+
+
+# below about 1e-12 lambda2 rounds to 1, where the recursion has no start
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(math.log(1e-11), -1.0).map(math.exp).filter(lambda beta: beta < E_INV),
+    st.integers(2, 300),
+)
+@example(1e-11, 300)
+@example(0.3678, 2)
+def test_solved_levels_never_rise(beta, m):
+    # ThresholdFn refuses any rise, so every rule the alpha search returns must have none
+    _, sol = max_alpha_for_beta(beta, m)
+    assert np.all(np.diff(sol.theta_values) <= 0.0)
+    sol.threshold()
 
 
 def test_endpoint_equalities_hold():

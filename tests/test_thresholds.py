@@ -156,6 +156,8 @@ def test_generalized_inverse_examples():
 def test_validation():
     with pytest.raises(ValueError):
         ThresholdFn([0.5, 1.0], [0.2, 0.8])  # increasing values
+    with pytest.raises(ValueError, match="non-increasing"):
+        ThresholdFn([0.5, 1.0], [0.5, 0.5 + 1e-15])  # any rise, however small
     with pytest.raises(ValueError):
         ThresholdFn([0.5], [1.0])  # last breakpoint not 1
     with pytest.raises(ValueError):
