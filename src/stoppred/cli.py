@@ -14,8 +14,9 @@ maxexp-curve dump, which simulate reads at theta ** (1/n)); ``--robustify
 beta`` wraps any of them.
 
 Exit codes: 0 ok, 2 bad arguments (including values the library rejects
-with ValueError and output paths that cannot be written), 3 numerical
-failure, 4 verification failure.
+with ValueError, output paths that cannot be written, and arguments whose
+arrays do not fit in memory, a MemoryError), 3 numerical failure, 4
+verification failure.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import ctypes
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -118,7 +120,8 @@ def parse_grid(text):
             if not span < MAX_GRID_POINTS:
                 raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
             return [a + i * step for i in range(math.floor(span) + 1)]
-        grid = [float(x) for x in text.split(",")]
+        # + 0.0 turns -0.0 into 0.0, which prints and names files as 0 does (a:b:step makes no -0.0)
+        grid = [float(x) + 0.0 for x in text.split(",")]
         if not all(-math.inf < x < math.inf for x in grid):
             raise ValueError("grid values must be finite")
         return grid
@@ -274,16 +277,25 @@ def cmd_hardness_frontier(args):
             raise CliError("export mode needs --out DIRECTORY")
         # every lambda and its file name are checked before anything is built or written
         names = _file_names(lambdas, "frontier_lambda_{:.4f}.lp", "lambdas")
-        objectives = [hardness.export_lp_objective(lam) for lam in lambdas]
-        # only the objective depends on lambda, so the body is serialized and encoded once
-        body = hardness.export_lp_body(hardness.build_polytope(args.n, args.k_support, prior)).encode()
+        heads = [
+            ("\\ " + manifest_line("hardness-frontier", {**params, "lambda": _g(lam)}).lstrip("# ") + "\n"
+             + hardness.export_lp_objective(lam)).encode()
+            for lam in lambdas
+        ]
+        model = hardness.build_polytope(args.n, args.k_support, prior)
         os.makedirs(args.out, exist_ok=True)
-        for lam, name, objective in zip(lambdas, names, objectives):
-            header = manifest_line("hardness-frontier", {**params, "lambda": _g(lam)}).lstrip("# ")
-            with open(f"{args.out}/{name}", "wb") as fh:
-                fh.write(("\\ " + header + "\n" + objective).encode())
-                fh.write(body)
-        print(f"wrote {len(objectives)} LP files to {args.out}")
+        # only the objective depends on lambda: the body is formatted once, streamed into the
+        # first file, and copied from there after each further file's comment line and objective
+        first = f"{args.out}/{names[0]}"
+        with open(first, "wb") as fh:
+            fh.write(heads[0])
+            fh.writelines(hardness.export_lp_body(model))
+        for name, head in zip(names[1:], heads[1:]):
+            with open(first, "rb") as body, open(f"{args.out}/{name}", "wb") as fh:
+                body.seek(len(heads[0]))
+                fh.write(head)
+                shutil.copyfileobj(body, fh)
+        print(f"wrote {len(heads)} LP files to {args.out}")
         return EXIT_OK
     points = hardness.frontier_sweep(args.n, args.k_support, prior, lambdas)
     lines = [manifest_line("hardness-frontier", params), "lambda,lp_star,alpha_star,beta_star"]
@@ -470,6 +482,9 @@ def main(argv=None):
         # the library raises ValueError for arguments outside its domain, and
         # an output path that cannot be written raises OSError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy's message names the array that did not fit
+        print(f"error: the arguments need more memory than there is{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:  # hardness.LpError included
         print(f"numerical failure: {exc}", file=sys.stderr)

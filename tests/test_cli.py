@@ -130,6 +130,12 @@ def test_heap_policy_is_skipped_without_mallopt(tmp_path, monkeypatch):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH, for a fresh interpreter."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
 def test_simulate_keeps_its_heap_mapped(tmp_path):
     # the CLI keeps freed heap pages mapped, so once one command has grown
@@ -143,9 +149,7 @@ def test_simulate_keeps_its_heap_mapped(tmp_path):
         f"assert stoppred.cli.main({argv!r}) == 0\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 1000
 
@@ -202,10 +206,38 @@ def test_hardness_frontier_export(tmp_path, capsys):
     assert files[0].read_text().splitlines()[1] == "Maximize"
     # the shared body makes each file the one-model export at its lambda
     model = hardness.build_polytope(2, 3, hardness.harmonic_prior(3))
+    body = b"".join(hardness.export_lp_body(model)).decode()
     for path, lam in zip(files, [0.0, 1.0]):
         head, text = path.read_bytes().split(b"\n", 1)
         assert head.startswith(b"\\ command=hardness-frontier") and f" lambda={lam:.17g} ".encode() in head
-        assert text == (hardness.export_lp_objective(lam) + hardness.export_lp_body(model)).encode()
+        assert text == (hardness.export_lp_objective(lam) + body).encode()
+
+
+def test_export_of_many_lambdas_keeps_few_files_open(tmp_path):
+    # the body is streamed into the first file and copied from it into each
+    # further one, so 101 files are written with two open at a time; the
+    # interpreter, numpy and scipy stay well inside a limit of 32 descriptors
+    resource = pytest.importorskip("resource")
+    out = tmp_path / "lps"
+    argv = ["hardness-frontier", "--n", "2", "--k-support", "3", "--lambda-grid", "0:1:0.01",
+            "--solver", "export", "--out", str(out)]
+    _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_NOFILE, (32, {hard}))\n"
+        "import stoppred.cli\n"
+        f"sys.exit(stoppred.cli.main({argv!r}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"wrote 101 LP files to {out}\n"
+    body = b"".join(hardness.export_lp_body(hardness.build_polytope(2, 3, hardness.harmonic_prior(3))))
+    lambdas = cli.parse_grid("0:1:0.01")
+    assert sorted(p.name for p in out.iterdir()) == [f"frontier_lambda_{lam:.4f}.lp" for lam in lambdas]
+    for lam in lambdas:
+        head, text = (out / f"frontier_lambda_{lam:.4f}.lp").read_bytes().split(b"\n", 1)
+        assert f" lambda={lam:.17g} ".encode() in head
+        assert text == hardness.export_lp_objective(lam).encode() + body
 
 
 def test_export_needs_an_out_directory(capsys):
@@ -243,6 +275,8 @@ def test_hardness_frontier_failed_points(capsys, monkeypatch):
     [
         ("0,0.5,1.5", "error: lambda weight must lie in [0, 1]"),
         ("0,0.00001", "error: lambdas 0 and 1.0000000000000001e-05 both map to the file frontier_lambda_0.0000.lp"),
+        # -0.0 is read as 0, so it names the same file as 0 does, not frontier_lambda_-0.0000.lp
+        ("0,-0.0", "error: lambdas 0 and 0 both map to the file frontier_lambda_0.0000.lp"),
     ],
 )
 def test_export_checks_the_grid_before_writing(tmp_path, capsys, grid, message):
@@ -350,6 +384,34 @@ def test_grid_parsing():
     with pytest.raises(cli.CliError, match="grid is empty"):
         cli.parse_grid("1:0:0.1")
     assert cli.parse_grid("0.5:0.5:1") == [0.5]
+    assert [math.copysign(1.0, x) for x in cli.parse_grid("-0.0,0.1")] == [1.0, 1.0]
+
+
+def test_negative_zero_in_a_grid_reads_as_zero(capsys):
+    # -0.0 printed as "-0" in a CSV row and in a manifest's list of betas
+    assert run_cli(capsys, "maxprob-curve", "--beta-grid=-0.0,0.1") == run_cli(
+        capsys, "maxprob-curve", "--beta-grid=0,0.1"
+    )
+    code, out, err = run_cli(capsys, "hardness-frontier", "--n", "2", "--k-support", "3", "--lambda-grid=-0.0,0.5")
+    assert (code, err) == (0, "")
+    assert [row.split(",")[0] for row in out.splitlines()[2:]] == ["0", "0.5"]
+
+
+@pytest.mark.parametrize("solver", ["embedded", "export"])
+def test_arrays_too_large_for_memory_are_usage_errors(capsys, monkeypatch, tmp_path, solver):
+    # an n and K whose arrays do not fit (numpy raises a MemoryError subclass) give one error line
+    def too_large(n, K, pmf):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (10001, 100000) and data type float64")
+
+    monkeypatch.setattr(hardness, "build_polytope", too_large)
+    code, out, err = run_cli(capsys, "hardness-frontier", "--n", "10000", "--k-support", "8", "--lambda-grid", "0,1",
+                             "--solver", solver, "--out", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the arguments need more memory than there is: Unable to allocate 7.45 GiB for an array"
+        " with shape (10001, 100000) and data type float64\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_grid_count_is_capped_before_the_grid_is_built(monkeypatch):
