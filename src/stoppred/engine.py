@@ -358,7 +358,7 @@ def _row_batches(real, predicted, theta, n, trials, seed):
 
 def accepted_value_samples(real, predicted, theta, n, trials, seed):
     """Per-trial (accepted value, maximum value); 0 marks no acceptance."""
-    n, trials = _count(n, "n"), _count(trials, "trials")
+    n, trials, seed = _count(n, "n"), _count(trials, "trials"), _count(seed, "seed", 0)
     _, accepted, maxima = map(np.concatenate, zip(*_row_batches(real, predicted, theta, n, trials, seed)))
     return accepted, maxima
 
@@ -370,7 +370,7 @@ def simulate(real, predicted, theta, n, trials, seed):
     times; the threshold consults the (possibly different) predicted prior.
     Deterministic for a fixed seed.
     """
-    n, trials = _count(n, "n"), _count(trials, "trials")
+    n, trials, seed = _count(n, "n"), _count(trials, "trials"), _count(seed, "seed", 0)
     return _sim_report(_row_batches(real, predicted, theta, n, trials, seed), trials)
 
 
@@ -431,7 +431,7 @@ def googol_win_mc(values, predicted, theta, trials, seed):
         raise ValueError("values must be distinct")
     if not np.all(values >= 0.0):  # written so that a NaN fails it
         raise ValueError("values must be non-negative")
-    trials = _count(trials, "trials")
+    trials, seed = _count(trials, "trials"), _count(seed, "seed", 0)
     wins = 0
     for pos, acc, mx in _scan_rows(_shuffled_rows, values, predicted, theta, len(values), trials, seed):
         wins += int(np.count_nonzero((pos >= 0) & (acc == mx)))
@@ -466,6 +466,7 @@ def simulate_coupled_sharding(real, predicted, theta, n, k, trials, seed):
     violations of that dominance (expected 0).
     """
     n, k, trials = _count(n, "n"), _count(k, "k"), _count(trials, "trials")
+    seed = _count(seed, "seed", 0)
     _check_support(real)
     rng = np.random.default_rng(seed)
     shard_real = power_root_cdf(real, k)

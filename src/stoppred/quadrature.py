@@ -5,34 +5,38 @@ an exponential integral.  Both return Python floats.  ``_piece_tail``
 combines them into the per-piece term of the consistency integral L(z),
 which analytics._LTable and the maxexp recursion both sum.
 
-Below them are the exponential integrals of a Python float, without scipy,
+Below them is the exponential integral of a Python float, without scipy,
 which analytics.maxprob_alpha also calls,
 
-    E1(x) = int_x^inf e^-t / t dt,    Ei(x) = PV int_-inf^x e^t / t dt,
+    E1(x) = int_x^inf e^-t / t dt
 
-for x >= 0 (Abramowitz & Stegun 5.1.1 and 5.1.2).  Three forms cover the range:
+for x >= 0 (Abramowitz & Stegun 5.1.1), in two forms:
 
-* x <= 1: the convergent series (A&S 5.1.10 and 5.1.11),
-  Ei(x) = gamma + ln x + S(x) and E1(x) = -gamma - ln x - S(-x) with
-  S(y) = sum_k y**k / (k k!) to 18 terms; the first term left out is below
-  1e-17 of the result.
+* x <= 1: the convergent series (A&S 5.1.11), E1(x) = -gamma - ln x - S(-x)
+  with S(y) = sum_k y**k / (k k!) to 18 terms; the first term left out is
+  below 1e-17 of the result.
 * x > 1: on each piece (1, 2], (2, 4], ..., (32, 64], (64, 745] a polynomial
-  p(s) in s, the affine map of 1/x onto [-1, 1], approximates x e^x E1(x) or
-  x e^-x Ei(x), both of which tend to 1 as x grows.  Then E1(x) = e^-x p / x
-  and Ei(x) = e^x p / x; past 745, E1 has underflowed and Ei overflowed.
-  Cody & Thacher (Math. Comp. 22, 1968) fit rational functions to the same
-  quantities; polynomials need more terms but no division.
-* Ei on [1/4, 1/2], around its zero x0 = 0.3725074107813666: the series
-  cancels there and would lose the relative accuracy, so Ei(x) = (x - x0) r(s)
-  with s = 8x - 3 and x0 held as two doubles.
+  p(s) in s, the affine map of 1/x onto [-1, 1], approximates x e^x E1(x),
+  which tends to 1 as x grows.  Then E1(x) = e^-x p / x; past 745, E1 has
+  underflowed.  Cody & Thacher (Math. Comp. 22, 1968) fit rational functions
+  to the same quantity; polynomials need more terms but no division.
 
-How the coefficients were made: with mpmath 1.3.0 at 50 digits, each
-function was interpolated at Chebyshev nodes of s in [-1, 1]
+For v > 1 the integral is a difference of Ei(x) = PV int_-inf^x e^t / t dt
+(A&S 5.1.2), and Ei(x) = gamma + ln x + S(x) (A&S 5.1.10).  In the
+difference Euler's constant and ln ln v cancel,
+
+    Ei(b ln v) - Ei(a ln v) = ln(b/a) + S(b ln v) - S(a ln v),
+
+and for y > 0 every term of S(y) is positive, so ``_positive_series`` sums
+its exact coefficients with nothing fitted.
+
+How E1's coefficients were made: with mpmath 1.3.0 at 50 digits, x e^x E1(x)
+was interpolated at Chebyshev nodes of s in [-1, 1] on each piece
 (``mpmath.chebyfit``), converted to monomial coefficients in s and rounded
 to the nearest double.  Each degree is the lowest whose fit error, measured
 at 401 points of the piece in mpmath, is below 5e-18 relative, so the
 rounding of the doubles dominates the error.  tests/test_expint.py checks
-both functions against mpmath over their ranges.
+E1 and S against mpmath over their ranges.
 
 Horner is unrolled on literals and the argument is made a Python float on
 entry: both matter, since the maxexp recursion makes tens of thousands of
@@ -51,12 +55,13 @@ def log_time_integral(v, a, b):
 
     With x = t |ln v| the integral is an exponential integral (Abramowitz &
     Stegun 5.1.1 and 5.1.2): E1(-a ln v) - E1(-b ln v) for 0 < v < 1 and
-    Ei(b ln v) - Ei(a ln v) for v > 1.  v = 0 integrates to 0 (0**t = 0 for
-    t > 0) and v = 1 reduces to ln(b/a).  The result is exact to rounding
-    while a |ln v| is a normal double, which a >= 1e-290 ensures for every
-    double v != 1.
+    Ei(b ln v) - Ei(a ln v), summed as ln(b/a) + S(b ln v) - S(a ln v), for
+    v > 1.  v = 0 integrates to 0 (0**t = 0 for t > 0) and v = 1 reduces to
+    ln(b/a).  The result is exact to rounding, relative to the size of its
+    terms, while a |ln v| is a normal double, which a >= 1e-290 ensures for
+    every double v != 1.
     """
-    if v < 0.0:
+    if not v >= 0.0:  # written so that a NaN fails it
         raise ValueError("v must be non-negative")
     if not 0.0 < a <= b:
         raise ValueError("need 0 < a <= b")
@@ -69,12 +74,12 @@ def log_time_integral(v, a, b):
     logv = math.log(v)
     if logv < 0.0:
         return _e1(-a * logv) - _e1(-b * logv)
-    return _ei(b * logv) - _ei(a * logv)
+    return math.log(b / a) + _positive_series(b * logv) - _positive_series(a * logv)
 
 
 def pow_integral(v, a, b):
     """integral_a^b v**t dt in closed form, with the 0**t = 0 convention."""
-    if v < 0.0:
+    if not v >= 0.0:  # written so that a NaN fails it
         raise ValueError("v must be non-negative")
     if v == 0.0:
         return 0.0
@@ -98,8 +103,6 @@ def _piece_tail(v, a, b):
 
 
 _EULER = 0.5772156649015329  # the Euler-Mascheroni constant gamma
-_X0_HI = 0.3725074107813666  # the positive zero of Ei is _X0_HI + _X0_LO
-_X0_LO = 1.3140183414386028e-17
 
 
 def _series(y):
@@ -261,204 +264,41 @@ def _e1(x):
     return math.exp(-x) * p / x
 
 
-def _ei(x):
-    """Ei(x) for x >= 0: -inf at 0, inf where it overflows (x > 716.36), NaN for NaN."""
-    x = float(x)
-    if x <= 1.0:
-        if x <= 0.0:
-            if x == 0.0:
-                return -math.inf
-            raise ValueError("ei needs x >= 0")
-        if 0.25 <= x <= 0.5:
-            s = 8.0 * x - 3.0
-            p = (
-                3.888076357264988
-                + s * (-0.4061665855280847
-                + s * (0.10041283952481993
-                + s * (-0.02479588404445663
-                + s * (0.0066215992351893625
-                + s * (-0.0018394610867344904
-                + s * (0.0005256259184067717
-                + s * (-0.00015332173526027486
-                + s * (4.543203865008289e-05
-                + s * (-1.3630439470857293e-05
-                + s * (4.1306273350717035e-06
-                + s * (-1.2621899398496797e-06
-                + s * (3.8843259333093395e-07
-                + s * (-1.2023349243053986e-07
-                + s * (3.730952253794265e-08
-                + s * (-1.1658817908524704e-08
-                + s * (3.77472335295571e-09
-                + s * (-1.1889185081216642e-09
-                + s * (2.883090236543945e-10
-                + s * (-9.105017598710777e-11
-                + s * (6.559337757326939e-11
-                + s * -2.091864108421699e-11))))))))))))))))))))
-            )
-            return ((x - _X0_HI) - _X0_LO) * p
-        return _EULER + math.log(x) + _series(x)
-    if x <= 2.0:
-        s = 4.0 / x - 3.0
-        p = (
-            0.989668932809259
-            + s * (-0.33448122968786004
-            + s * (0.03792984531278007
-            + s * (0.009323487442037742
-            + s * (-0.007563578401472274
-            + s * (0.0030370745215760977
-            + s * (-0.0009306901688362174
-            + s * (0.0002278048998772411
-            + s * (-3.9238468547325815e-05
-            + s * (2.687601584433157e-07
-            + s * (3.765579229264207e-06
-            + s * (-2.2713182722772474e-06
-            + s * (9.834562514869984e-07
-            + s * (-3.637439297663803e-07
-            + s * (1.2084638145468183e-07
-            + s * (-3.674552083775499e-08
-            + s * (1.0076620513214395e-08
-            + s * (-2.2252501603170164e-09
-            + s * (3.823577452859788e-10
-            + s * (-1.3748622115980043e-10
-            + s * (8.573265800473684e-12
-            + s * (6.212954764894353e-11
-            + s * -2.49906866928437e-11)))))))))))))))))))))
+def _positive_series(y):
+    """S(y) for y >= 0: inf where it overflows (y > 716.36), NaN for NaN.
+
+    Every term is positive, so the exact coefficients sum it with no
+    cancellation.  The first term left out is below 1e-17 of the sum: past
+    term 18 for y <= 1, past term 26 for y <= 2.5, and above that the loop
+    stops on it (950 terms at y = 716).  The loop carries u = y**(k-1) / k!,
+    whose peak stays finite wherever S does, and sums the terms u y / k with
+    Kahan's compensation: on 3,000 points of (2.5, 60] that cut the worst
+    error from 7.4 to 4.6 eps.
+    """
+    y = float(y)
+    if y <= 1.0:
+        return _series(y)
+    if y <= 2.5:
+        return _series(y) + y**19 * (
+            1 / 2311256907767808000
+            + y * (1 / 48658040163532800000
+            + y * (1 / 1072909785605898240000
+            + y * (1 / 24728016011107368960000
+            + y * (1 / 594596384994354462720000
+            + y * (1 / 14890761641597746544640000
+            + y * (1 / 387780251083274649600000000
+            + y * (1 / 10485577989291746525184000000)))))))
         )
-    elif x <= 4.0:
-        s = 8.0 / x - 3.0
-        p = (
-            1.4690759550251136
-            + s * (-0.07273558054160355
-            + s * (-0.07757446524908389
-            + s * (0.025499719178771398
-            + s * (-0.0027436931549100173
-            + s * (-0.0011081934838498525
-            + s * (0.000767098201296314
-            + s * (-0.00027191878274208725
-            + s * (6.515704953495112e-05
-            + s * (-7.733371317379075e-06
-            + s * (-2.3053152894685922e-06
-            + s * (2.0618898273856403e-06
-            + s * (-9.297794318324244e-07
-            + s * (3.209344652106072e-07
-            + s * (-9.00243111519386e-08
-            + s * (1.9445865681708253e-08
-            + s * (-2.0734898989544884e-09
-            + s * (-8.529139918336989e-10
-            + s * (6.97179438627018e-10
-            + s * (-2.932316877923055e-10
-            + s * (1.2604869013218716e-10
-            + s * (-6.043923563138516e-11
-            + s * 1.4657914014499858e-11)))))))))))))))))))))
-        )
-    elif x <= 8.0:
-        s = 16.0 / x - 3.0
-        p = (
-            1.3269243537087099
-            + s * (0.13889073313480316
-            + s * (-0.019704956764727662
-            + s * (-0.011018015667938242
-            + s * (0.0031723596842968514
-            + s * (0.00020391346988171
-            + s * (-0.0003579319894163936
-            + s * (0.00011125325286485191
-            + s * (-1.0011391727284985e-05
-            + s * (-6.6620645347093685e-06
-            + s * (4.036066537867684e-06
-            + s * (-1.2431820469311733e-06
-            + s * (1.9903746967233528e-07
-            + s * (2.7153534128020675e-08
-            + s * (-3.461483240544057e-08
-            + s * (1.53556210756498e-08
-            + s * (-4.519542010810688e-09
-            + s * (8.873118710621641e-10
-            + s * (-7.708725799915984e-11
-            + s * (-8.22053571833996e-11
-            + s * (8.116411920238936e-11
-            + s * -2.3654149665169374e-11))))))))))))))))))))
-        )
-    elif x <= 16.0:
-        s = 32.0 / x - 3.0
-        p = (
-            1.120311700129995
-            + s * (0.054337700418872606
-            + s * (0.007191967194670905
-            + s * (0.0005032607952500221
-            + s * (-0.00044555646767615497
-            + s * (-9.424056716939621e-05
-            + s * (4.300042420071469e-05
-            + s * (4.19746791127715e-06
-            + s * (-4.9384730671917895e-06
-            + s * (7.438386707204068e-07
-            + s * (2.8722571999481976e-07
-            + s * (-1.6506198619340094e-07
-            + s * (2.72945078355632e-08
-            + s * (6.872332243911642e-09
-            + s * (-5.489830933659051e-09
-            + s * (1.5572453596955768e-09
-            + s * (-8.511560301463264e-11
-            + s * (-1.5200016570521462e-10
-            + s * (7.454815209905579e-11
-            + s * (-6.715186314461258e-12
-            + s * -3.155993455693103e-12)))))))))))))))))))
-        )
-    elif x <= 32.0:
-        s = 64.0 / x - 3.0
-        p = (
-            1.0520424679682245
-            + s * (0.019398949562410554
-            + s * (0.0008277643313532969
-            + s * (6.52797448697923e-05
-            + s * (8.99266764319291e-06
-            + s * (1.5913271859272287e-06
-            + s * (8.08853234572592e-08
-            + s * (-1.1945760896438409e-07
-            + s * (-3.938766862890112e-08
-            + s * (5.476689769705357e-09
-            + s * (4.365556300556464e-09
-            + s * (-5.086619679258176e-10
-            + s * (-4.2250469211403267e-10
-            + s * (9.101356638579785e-11
-            + s * (3.2722830904297805e-11
-            + s * (-1.4051036369250679e-11
-            + s * (-1.337040681612272e-12
-            + s * 1.2245338678783464e-12))))))))))))))))
-        )
-    elif x <= 64.0:
-        s = 128.0 / x - 3.0
-        p = (
-            1.0246216146810785
-            + s * (0.008633537237199895
-            + s * (0.0001538509192059354
-            + s * (4.3733109576055e-06
-            + s * (1.7754208058459666e-07
-            + s * (9.74458935546966e-09
-            + s * (7.041706846425552e-10
-            + s * (6.670821199276447e-11
-            + s * (8.452870423398936e-12
-            + s * (1.4748037752157943e-12
-            + s * (3.038073576587222e-13
-            + s * (2.7993530256445457e-14
-            + s * -9.087544438984366e-15)))))))))))
-        )
-    else:
-        s = 140.0293685756241 / x - 1.1879588839941262
-        p = (
-            1.008631378661522
-            + s * (0.007393391840568957
-            + s * (0.00011035488409730651
-            + s * (2.51686125235985e-06
-            + s * (7.800656149627512e-08
-            + s * (3.081993014731684e-09
-            + s * (1.49108854941115e-10
-            + s * (8.593051985084908e-12
-            + s * (5.783614656129979e-13
-            + s * (4.590302151999088e-14
-            + s * 4.0689034589733335e-15)))))))))
-        )
-    if x <= 709.0:
-        return math.exp(x) * p / x
-    if x > 717.0:
+    if y > 717.0:  # S has overflowed, and an infinite y would never end the loop
         return math.inf
-    half = math.exp(0.5 * x)  # e^x alone would overflow before Ei does
-    return half * (p / x) * half
+    u, total, comp = 1.0, y, 0.0
+    k, term = 1, y
+    while term >= 1e-17 * total:
+        k += 1
+        u = u / k * y
+        term = u / k * y
+        z = term - comp
+        t = total + z
+        comp = (t - total) - z
+        total = t
+    return total

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from stoppred import analytics, cli, engine, hardness, maxexp, priors, thresholds
+from stoppred import analytics, cli, engine, hardness, maxexp, priors, quadrature, thresholds
 from stoppred.priors import E_INV
 from stoppred.thresholds import threshold_from_csv
 
@@ -541,6 +541,8 @@ UNIT = priors.Uniform(0.0, 1.0)
         pytest.param(lambda: priors.DiscretePrior([0.5, 0.5]).quantile(math.nan), id="discrete-quantile-nan"),
         pytest.param(lambda: priors.PowerRoot(UNIT, 3).quantile(math.nan), id="power-root-quantile-nan"),
         pytest.param(lambda: hardness.acc_to_rej([[math.nan, 0.5]], [0.5, 0.5]), id="acc-to-rej-nan"),
+        pytest.param(lambda: quadrature.log_time_integral(math.nan, 0.1, 1.0), id="log-time-integral-nan"),
+        pytest.param(lambda: quadrature.pow_integral(math.nan, 0.1, 1.0), id="pow-integral-nan"),
         # +-inf and NaN integer arguments, on which int(x) raises OverflowError
         pytest.param(lambda: analytics.win_probability(DYNKIN, math.inf), id="win-probability-inf"),
         pytest.param(lambda: thresholds.gm_threshold(math.inf, 300), id="gm-threshold-n-inf"),
@@ -568,6 +570,15 @@ def test_non_finite_library_arguments_are_value_errors(call):
         call()
 
 
+# every seed argument of the library, checked like a count from 0 up
+SEEDS = [
+    pytest.param(lambda c: engine.simulate(UNIT, UNIT, DYNKIN, 10, 500, c(10)), id="simulate-seed"),
+    pytest.param(lambda c: engine.accepted_value_samples(UNIT, UNIT, DYNKIN, 10, 50, c(3)), id="samples-seed"),
+    pytest.param(lambda c: engine.googol_win_mc([0.3, 0.9, 0.5], UNIT, DYNKIN, 500, c(3)), id="googol-mc-seed"),
+    pytest.param(lambda c: engine.simulate_coupled_sharding(UNIT, UNIT, DYNKIN, 4, 2, 50, c(3)), id="coupled-seed"),
+]
+
+
 # every count argument of the library, each taken as a function of a cast
 # applied to the count
 COUNTS = [
@@ -590,6 +601,7 @@ COUNTS = [
     pytest.param(lambda c: engine.simulate_coupled_sharding(UNIT, UNIT, DYNKIN, c(4), 2, 50, 3), id="coupled-n"),
     pytest.param(lambda c: engine.simulate_coupled_sharding(UNIT, UNIT, DYNKIN, 4, c(2), 50, 3), id="coupled-k"),
     pytest.param(lambda c: engine.simulate_coupled_sharding(UNIT, UNIT, DYNKIN, 4, 2, c(50), 3), id="coupled-trials"),
+    *SEEDS,
     pytest.param(lambda c: hardness.harmonic_prior(c(8)), id="harmonic-prior"),
     pytest.param(lambda c: hardness.build_polytope(c(3), 4, [0.1, 0.2, 0.3, 0.4]), id="build-polytope-n"),
     pytest.param(lambda c: hardness.build_polytope(3, c(4), [0.1, 0.2, 0.3, 0.4]), id="build-polytope-k"),
@@ -608,6 +620,17 @@ def test_integer_valued_float_counts_are_counts(call):
 def test_non_integer_counts_are_value_errors(call, bad):
     with pytest.raises(ValueError):
         call(lambda _: bad)
+
+
+@pytest.mark.parametrize("call", SEEDS)
+def test_negative_seeds_are_value_errors(call):
+    with pytest.raises(ValueError, match=r"^need integer seed >= 0$"):
+        call(lambda _: -1)
+
+
+def test_negative_seed_flag_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, *SIM, "--n", "10", "--trials", "100", "--seed", "-1")
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: need integer seed >= 0\n")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,7 @@
-"""E1 and Ei of stoppred.quadrature against mpmath, with scipy.special's own error as the bar."""
+"""E1 and the positive series S of stoppred.quadrature against mpmath.
+
+E1 has scipy.special's own error as the bar.
+"""
 
 import math
 
@@ -7,13 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import exp1, expi
+from scipy.special import exp1
 
-from stoppred.quadrature import _X0_HI, _X0_LO, _e1 as e1, _ei as ei
+from stoppred.quadrature import _e1 as e1, _positive_series
 
 EPS = 2.0**-52
 TINY = 5e-324  # the smallest subnormal
-CASES = [(e1, exp1, mpmath.e1), (ei, expi, mpmath.ei)]
 
 
 def _reference(f, x):
@@ -52,16 +54,7 @@ def test_e1_matches_mpmath(x):
     _assert_as_good_as_scipy(e1, exp1, mpmath.e1, x)
 
 
-@settings(max_examples=400, deadline=None)
-@given(_arguments(709.0))
-@example(1.0)
-@example(709.0)
-@example(_X0_HI)
-def test_ei_matches_mpmath(x):
-    _assert_as_good_as_scipy(ei, expi, mpmath.ei, x)
-
-
-@pytest.mark.parametrize("ours, theirs, exact", CASES)
+@pytest.mark.parametrize("ours, theirs, exact", [(e1, exp1, mpmath.e1)])
 def test_both_sides_of_every_break(ours, theirs, exact):
     for brk in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 709.0):
         for x in (np.nextafter(brk, 0.0), brk, np.nextafter(brk, np.inf)):
@@ -70,16 +63,13 @@ def test_both_sides_of_every_break(ours, theirs, exact):
 
 def test_zero_and_invalid_arguments():
     assert e1(0.0) == math.inf
-    assert ei(0.0) == -math.inf
-    assert math.isnan(e1(math.nan)) and math.isnan(ei(math.nan))
-    for f in (e1, ei):
-        with pytest.raises(ValueError, match="needs x >= 0"):
-            f(-1e-300)
+    assert math.isnan(e1(math.nan))
+    with pytest.raises(ValueError, match="needs x >= 0"):
+        e1(-1e-300)
 
 
 def test_numpy_scalars_give_python_floats():
     assert type(e1(np.float64(2.5))) is float and e1(np.float64(2.5)) == e1(2.5)
-    assert type(ei(np.float32(0.75))) is float and ei(np.float32(0.75)) == ei(float(np.float32(0.75)))
 
 
 def test_e1_underflow():
@@ -91,25 +81,42 @@ def test_e1_underflow():
         assert e1(x) == 0.0
 
 
-def test_ei_overflow():
-    # e^x overflows past 709.78, Ei itself only past 716.36
-    for x in (709.5, 712.0, 716.3):
-        ref = _reference(mpmath.ei, x)
-        assert _error(ei(x), ref) <= 4.0 * EPS * float(ref)
-    for x in (716.4, 717.5, 1e6, math.inf):
-        assert ei(x) == math.inf
+def _series_reference(y):
+    """S(y) = y 2F2(1, 1; 2, 2; y) at 40 digits.
 
-
-def test_ei_zero_keeps_relative_accuracy():
+    Not Ei(y) - gamma - ln y: that form cancels, and at 30 digits it loses
+    every digit of S below about y = 1e-14.
+    """
     with mpmath.workdps(40):
-        x0 = mpmath.findroot(mpmath.ei, mpmath.mpf("0.3725"))
-        assert abs(mpmath.mpf(_X0_HI) + mpmath.mpf(_X0_LO) - x0) <= mpmath.mpf(10) ** -32
-    # within a few ulps of the zero scipy's relative error reaches 1; ours stays at rounding
-    x = _X0_HI
-    for _ in range(5):
-        x = float(np.nextafter(x, 0.0))
-    for _ in range(11):
-        ref = _reference(mpmath.ei, x)
-        assert _error(ei(x), ref) <= 4.0 * EPS * float(abs(ref)), x
-        x = float(np.nextafter(x, 1.0))
-    assert ei(_X0_HI) < 0.0 < ei(float(np.nextafter(_X0_HI, 1.0)))
+        y = mpmath.mpf(y)
+        return y * mpmath.hyp2f2(1, 1, 2, 2, y)
+
+
+# the ends, and both sides of the range breaks at 1 and 2.5
+@settings(max_examples=400, deadline=None)
+@given(_arguments(716.0))
+@example(5e-324)
+@example(1e-35)
+@example(float(np.nextafter(1.0, 0.0)))
+@example(1.0)
+@example(float(np.nextafter(1.0, 2.0)))
+@example(float(np.nextafter(2.5, 0.0)))
+@example(2.5)
+@example(float(np.nextafter(2.5, 3.0)))
+@example(716.0)
+def test_positive_series_matches_mpmath(y):
+    # above 2.5 the terms come by a recursion whose rounding grows with y
+    value = _positive_series(y)
+    assert type(value) is float
+    ref = _series_reference(y)
+    assert _error(value, ref) <= max(8.0, y / 4.0) * EPS * float(ref), (y, value, float(ref))
+
+
+def test_positive_series_overflow_and_nan():
+    # S(y) ~ e^y / y overflows past 716.36
+    for y in (716.4, 717.0, 720.0, 1e6, math.inf):
+        assert _positive_series(y) == math.inf
+    assert math.isnan(_positive_series(math.nan))
+    assert _positive_series(0.0) == 0.0
+    assert type(_positive_series(np.float64(3.0))) is float
+    assert _positive_series(np.float32(0.75)) == _positive_series(float(np.float32(0.75)))

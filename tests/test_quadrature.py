@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -64,3 +65,28 @@ def test_log_time_integral_closed_form_matches_quadrature(v, a, b):
     assume(a < b)
     ref = _mp_log_time_integral(v, a, b)
     assert abs(log_time_integral(v, a, b) - ref) <= 1e-11
+
+
+EPS = 2.0**-52
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(math.log(2.0), 40.0, exclude_min=True).map(math.exp), LTI_T, LTI_T)
+def test_log_time_integral_above_two_matches_ei(v, a, b):
+    # LTI_V stops at v = 2, where the series' argument b ln v stays below
+    # ln 2; here it reaches 40, well into the loop above 2.5.  Rounding
+    # b ln v and b / a moves the result by up to b / (b - a) of their eps,
+    # and an error in the series' argument grows as 1 + b ln v.
+    a, b = min(a, b), max(a, b)
+    assume(b >= 1.01 * a)
+    with mpmath.workdps(50):
+        logv = mpmath.log(v)
+        ref = mpmath.ei(b * logv) - mpmath.ei(a * logv)
+        err = float(abs(mpmath.mpf(log_time_integral(v, a, b)) - ref) / ref)
+    assert err <= 4.0 * (1.0 + b * math.log(v)) * b / (b - a) * EPS, (v, a, b)
+
+
+def test_numpy_scalars_give_python_floats():
+    for v in (0.5, 3.0, 30.0):
+        value = log_time_integral(np.float64(v), np.float64(0.25), np.float64(0.75))
+        assert type(value) is float and value == log_time_integral(v, 0.25, 0.75)
